@@ -1,10 +1,13 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the appendix benchmarks.
 
-Every benchmark regenerates one of the paper's tables or figures: it runs
-the corresponding driver from `repro.runners.figures` once (simulations are
-deterministic; repeated timing rounds would only measure the host), prints
-the reproduced rows next to the paper's reported values, and asserts the
-paper's qualitative claims on the output.
+The ``bench_*.py`` files here cover experiments beyond the paper's
+numbered figures and tables (mechanism ablations, NPB on the OpenMP
+runtime layer, web serving).  Each runs its sweep once (simulations are
+deterministic; repeated timing rounds would only measure the host),
+prints the rows, and asserts the qualitative claims on them.  The
+paper's figures and tables themselves come from ``repro figNN [--quick]``
+/ ``repro tableN`` and are checked by the fidelity specs
+(``docs/validation.md``).
 
 Run with::
 

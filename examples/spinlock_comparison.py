@@ -12,7 +12,7 @@ Run:  python examples/spinlock_comparison.py
 
 from repro import optimized_config, ple_config, vanilla_config
 from repro.config import ExecMode
-from repro.runners.figures import SPINLOCK_ORDER
+from repro.runners.full_report import SPINLOCK_ORDER
 from repro.workloads.pipeline import spin_pipeline_run
 
 STAGES = 480

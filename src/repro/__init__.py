@@ -27,8 +27,8 @@ Quickstart::
     kernel.run_to_completion()
     print(f"finished at {kernel.now / 1e6:.2f} ms")
 
-Experiment drivers for every figure and table live in
-`repro.runners.figures`.
+Every figure and table is a section of `repro.runners.full_report`,
+regenerated by ``python -m repro figNN`` / ``tableN`` or ``repro all``.
 """
 
 from .config import (

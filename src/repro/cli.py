@@ -5,7 +5,7 @@ Examples::
     python -m repro list
     python -m repro all --quick --jobs 4
     python -m repro fig01 --scale 0.5
-    python -m repro fig12 --duration-ms 300
+    python -m repro fig12 --quick --jobs 2 --validate
     python -m repro table2
     python -m repro suite streamcluster --threads 32 --cores 8 --optimized
     python -m repro ablations
@@ -32,14 +32,11 @@ from .exitcodes import (
     EXIT_USAGE,
 )
 from .runners import ablations as ab
-from .runners import figures, format_table
+from .runners import format_table
 from .workloads import SUITE, profile, run_suite_benchmark
 
-KB = 1024
-MB = 1024 * KB
 
-
-def _add_scale(p: argparse.ArgumentParser, default: float = 0.5) -> None:
+def _add_scale(p: argparse.ArgumentParser, default: float | None) -> None:
     p.add_argument("--scale", type=float, default=default,
                    help="workload scale (1.0 = full fidelity)")
 
@@ -69,227 +66,17 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def cmd_fig01(args) -> int:
-    rows = figures.fig01_overview(work_scale=args.scale, seed=args.seed)
-    print(format_table(
-        ["benchmark", "group", "32T/8T (sim)", "32T/8T (paper)"],
-        [[r.name, r.group, r.ratio, r.paper_ratio] for r in rows],
-        title="Figure 1",
-    ))
-    return 0
-
-
-def cmd_fig02(args) -> int:
-    rows, per_switch = figures.fig02_direct_cost(seed=args.seed)
-    print(format_table(
-        ["threads", "pure (norm)", "atomic (norm)"],
-        [[r.nthreads, r.pure_normalized, r.atomic_normalized] for r in rows],
-        title="Figure 2", float_fmt="{:.4f}",
-    ))
-    print(f"per-switch cost: {per_switch:.0f} ns (paper ~1500 ns)")
-    return 0
-
-
-def cmd_fig03(args) -> int:
-    rows = figures.fig03_sync_intervals(work_scale=args.scale, seed=args.seed)
-    print(format_table(
-        ["bucket (us)", "# programs"], figures.fig03_histogram(rows),
-        title="Figure 3",
-    ))
-    return 0
-
-
-def cmd_fig04(_args) -> int:
-    out = figures.fig04_indirect_cost()
-    sizes = [s for s, _ in out["seq-r"]]
-    print(format_table(
-        ["size"] + list(out),
-        [
-            [f"{s // KB}KB" if s < MB else f"{s // MB}MB"]
-            + [dict(out[p])[s] / 1000 for p in out]
-            for s in sizes
-        ],
-        title="Figure 4 — indirect cost per context switch (us)",
-        float_fmt="{:.1f}",
-    ))
-    return 0
-
-
-def cmd_fig09(args) -> int:
-    rows = figures.fig09_vb_applications(
-        work_scale=args.scale, smt=args.smt, seed=args.seed
-    )
-    print(format_table(
-        ["app", "32T/8T vanilla", "32T/8T optimized", "util 8T/32T/Opt",
-         "migr 8T/32T/Opt"],
-        [
-            [r.name, r.vanilla_ratio, r.optimized_ratio,
-             f"{r.util_8t:.0f}/{r.util_32t:.0f}/{r.util_opt:.0f}",
-             f"{r.migr_in_8t + r.migr_cross_8t}/"
-             f"{r.migr_in_32t + r.migr_cross_32t}/"
-             f"{r.migr_in_opt + r.migr_cross_opt}"]
-            for r in rows
-        ],
-        title="Figure 9 / Table 1",
-    ))
-    return 0
-
-
-def cmd_fig10(args) -> int:
-    part_a, part_b = figures.fig10_primitives(seed=args.seed)
-    print(format_table(
-        ["primitive", "threads", "speedup"],
-        [[r.primitive, r.nthreads, r.speedup] for r in part_a],
-        title="Figure 10(a) — one core",
-    ))
-    print(format_table(
-        ["primitive", "cores", "speedup"],
-        [[r.primitive, r.cores, r.speedup] for r in part_b],
-        title="Figure 10(b) — 32 threads",
-    ))
-    return 0
-
-
-def cmd_fig11(args) -> int:
-    points = figures.fig11_elasticity(work_scale=args.scale, seed=args.seed)
-    by = {}
-    for p in points:
-        by.setdefault(p.app, {})[(p.cores, p.setting)] = p.duration_ns
-    for app, d in by.items():
-        cores = sorted({c for c, _ in d})
-        settings = ["#core-T(vanilla)", "8T(vanilla)", "32T(vanilla)",
-                    "32T(pinned)", "32T(optimized)"]
-        print(format_table(
-            ["cores"] + settings,
-            [
-                [c] + [
-                    "crash" if d[(c, s)] is None else f"{d[(c, s)] / 1e6:.1f}"
-                    for s in settings
-                ]
-                for c in cores
-            ],
-            title=f"Figure 11 — {app} (ms)",
-        ))
-    return 0
-
-
-def cmd_fig12(args) -> int:
-    rows = figures.fig12_memcached(
-        duration_ms=args.duration_ms, seed=args.seed
-    )
-    print(format_table(
-        ["cores", "setting", "kops/s", "avg us", "p95 us", "p99 us"],
-        [[r.cores, r.setting, r.throughput_ops / 1e3, r.latency.mean,
-          r.latency.p95, r.latency.p99] for r in rows],
-        title="Figure 12 — memcached", float_fmt="{:.1f}",
-    ))
-    return 0
-
-
-def cmd_fig13(args) -> int:
-    rows = figures.fig13_spinlocks(seed=args.seed)
-    by = {}
-    for r in rows:
-        by.setdefault((r.environment, r.algorithm), {})[r.setting] = r.duration_ns
-    for env in ("container", "kvm"):
-        settings = ["8T(vanilla)", "32T(vanilla)"]
-        if env == "kvm":
-            settings.append("32T(PLE)")
-        settings.append("32T(optimized)")
-        print(format_table(
-            ["lock"] + settings,
-            [[alg] + [by[(env, alg)][s] / 1e6 for s in settings]
-             for alg in figures.SPINLOCK_ORDER],
-            title=f"Figure 13 — {env} (ms)", float_fmt="{:.1f}",
-        ))
-    return 0
-
-
-def cmd_fig14(args) -> int:
-    rows = figures.fig14_custom_spin(work_scale=args.scale, seed=args.seed)
-    by = {}
-    for r in rows:
-        by.setdefault((r.app, r.environment), {})[(r.nthreads, r.setting)] = (
-            r.duration_ns
-        )
-    for (app, env), d in by.items():
-        print(format_table(
-            ["threads", "vanilla", "PLE", "optimized"],
-            [
-                [n] + [
-                    "n/a" if d.get((n, s)) is None else f"{d[(n, s)] / 1e6:.1f}"
-                    for s in ("vanilla", "PLE", "optimized")
-                ]
-                for n in (8, 16, 32)
-            ],
-            title=f"Figure 14 — {app} ({env}) (ms)",
-        ))
-    return 0
-
-
-def cmd_fig15(args) -> int:
-    rows = figures.fig15_lock_comparison(work_scale=args.scale, seed=args.seed)
-    by = {}
-    for r in rows:
-        by.setdefault(r.app, {})[r.lock] = r.duration_ns
-    print(format_table(
-        ["app", "pthread", "mutexee", "mcstp", "shfllock", "optimized"],
-        [
-            [app] + [d[k] / d["optimized"] for k in
-                     ("pthread", "mutexee", "mcstp", "shfllock", "optimized")]
-            for app, d in by.items()
-        ],
-        title="Figure 15 — normalized to optimized",
-    ))
-    return 0
-
-
-def cmd_table2(args) -> int:
-    results = figures.table2_true_positive(
-        duration_ms=args.duration_ms, seed=args.seed
-    )
-    print(format_table(
-        ["spinlock", "# tries", "# TPs", "sensitivity %"],
-        [[r.algorithm, r.tries, r.true_positives, r.sensitivity * 100]
-         for r in results],
-        title="Table 2",
-    ))
-    return 0
-
-
-def cmd_table3(args) -> int:
-    results = figures.table3_false_positive(
-        work_scale=args.scale, seed=args.seed
-    )
-    print(format_table(
-        ["app", "# tries", "# FPs", "specificity %", "FP overhead %"],
-        [[r.name, r.tries, r.false_positives, r.specificity * 100,
-          r.overhead_pct] for r in results],
-        title="Table 3",
-    ))
-    return 0
-
-
 def cmd_all(args) -> int:
+    """``repro all`` and every per-section command (``args.sections``)."""
     from .runners.full_report import main_from_args
 
     return main_from_args(args)
 
 
 def cmd_serve(args) -> int:
-    from .runners.full_report import main_from_args
-
     if args.resilience or args.faults:
         return _serve_resilience_point(args)
-    args.sections = ["serve"]
-    return main_from_args(args)
-
-
-def cmd_sched(args) -> int:
-    from .runners.full_report import main_from_args
-
-    args.sections = ["sched"]
-    return main_from_args(args)
+    return cmd_all(args)
 
 
 def _serve_resilience_point(args) -> int:
@@ -817,22 +604,26 @@ def build_parser() -> argparse.ArgumentParser:
         fn=cmd_list
     )
 
+    from .runners.full_report import SECTIONS, add_report_flags
+
     p = sub.add_parser(
         "all",
         help="regenerate every figure/table via the parallel cached runner",
     )
-    from .runners.full_report import add_report_flags
-
     add_report_flags(p)
     p.set_defaults(fn=cmd_all)
 
-    p = sub.add_parser(
-        "serve",
-        help="heavy-traffic serving scenarios: open-loop burst sweep, "
-             "oversubscription-ratio sweep, closed loop, and multi-"
-             "tenant colocation with per-tenant SLO tracking",
-    )
-    add_report_flags(p)
+    # One command per report section: the same specs, cache keys, table
+    # and fidelity checks as that section of `repro all`.
+    for section in SECTIONS:
+        p = sub.add_parser(section.key, help=section.title)
+        add_report_flags(p)
+        p.set_defaults(fn=cmd_all, sections=[section.key],
+                       results=f"results-{section.key}.json")
+    sub._name_parser_map["table1"] = sub._name_parser_map["fig09"]  # alias
+
+    # serve alone adds flags: an ad-hoc point off the section's grid.
+    p = sub._name_parser_map["serve"]
     p.add_argument("--resilience", default=None, metavar="PRESET",
                    help="overload-control policy for an ad-hoc open-loop "
                         "point: a preset name (repro.resilience.PRESETS) "
@@ -845,48 +636,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-frac", type=float, default=1.2,
                    metavar="FRAC", help="offered load as a fraction of "
                         "saturation for the ad-hoc point (default 1.2)")
-    p.set_defaults(fn=cmd_serve, results="results-serve.json")
+    p.set_defaults(fn=cmd_serve)
 
-    p = sub.add_parser(
-        "sched",
-        help="compare scheduling policies (cfs / eevdf / fifo_rr) at 1x "
-             "and 4x oversubscription; see docs/scheduling.md",
-    )
-    add_report_flags(p)
-    p.set_defaults(fn=cmd_sched, results="results-sched.json")
-
-    simple = {
-        "fig01": (cmd_fig01, True), "fig02": (cmd_fig02, False),
-        "fig03": (cmd_fig03, True), "fig04": (cmd_fig04, False),
-        "fig10": (cmd_fig10, False), "fig11": (cmd_fig11, True),
-        "fig13": (cmd_fig13, False), "fig14": (cmd_fig14, True),
-        "fig15": (cmd_fig15, True), "table3": (cmd_table3, True),
-        "ablations": (cmd_ablations, False),
-    }
-    for name, (fn, scaled) in simple.items():
-        p = sub.add_parser(name, help=f"regenerate {name}")
-        if scaled:
-            _add_scale(p)
-        _add_seed(p)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("fig09", help="regenerate fig09 / table1")
-    _add_scale(p)
+    p = sub.add_parser("ablations", help="VB and BWD mechanism ablations")
     _add_seed(p)
-    p.add_argument("--smt", action="store_true",
-                   help="8 hyperthreads on 4 cores instead of 8 cores")
-    p.set_defaults(fn=cmd_fig09)
-    sub._name_parser_map["table1"] = p  # alias
-
-    p = sub.add_parser("fig12", help="regenerate fig12 (memcached)")
-    p.add_argument("--duration-ms", type=float, default=300.0)
-    _add_seed(p)
-    p.set_defaults(fn=cmd_fig12)
-
-    p = sub.add_parser("table2", help="regenerate table2 (BWD sensitivity)")
-    p.add_argument("--duration-ms", type=float, default=2000.0)
-    _add_seed(p)
-    p.set_defaults(fn=cmd_table2)
+    p.set_defaults(fn=cmd_ablations)
 
     p = sub.add_parser(
         "adapt", help="live CPU hot-plug under an oversubscribed workload"

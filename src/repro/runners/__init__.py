@@ -1,9 +1,10 @@
-"""Experiment drivers that regenerate every table and figure."""
+"""Experiment runners: every table and figure (``full_report``) on the
+parallel cached spec runner (``parallel``), plus ablations and adaptation."""
 
-from . import ablations, adaptation, figures, full_report, parallel
+from . import ablations, adaptation, full_report, parallel
 from .report import format_table
 
 __all__ = [
-    "ablations", "adaptation", "figures", "full_report", "parallel",
+    "ablations", "adaptation", "full_report", "parallel",
     "format_table",
 ]

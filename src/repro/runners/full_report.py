@@ -1,15 +1,16 @@
-"""Full-fidelity report on top of the parallel runner.
+"""Every figure and table of the paper, on top of the parallel runner.
 
 Decomposes every figure/table of the paper into independent
 :class:`~repro.runners.parallel.ExperimentSpec`s, fans them out through a
-:class:`~repro.runners.parallel.ParallelRunner`, and renders the same
-tables the serial ``benchmarks/run_all.py`` printed — byte-identical for a
-fixed seed regardless of ``--jobs`` or cache state, because results are
-merged in spec order and every simulation is deterministic.
+:class:`~repro.runners.parallel.ParallelRunner`, and renders each section's
+table — byte-identical for a fixed seed regardless of ``--jobs`` or cache
+state, because results are merged in spec order and every simulation is
+deterministic.  This is the only code path that computes a paper figure.
 
-Both ``benchmarks/run_all.py`` and ``python -m repro all`` are thin
-wrappers over :func:`run_full_report`; :func:`add_report_flags` keeps
-their flag sets identical.
+``benchmarks/run_all.py``, ``python -m repro all`` and the per-section
+commands (``repro fig01`` … ``repro table3``, ``repro sched``,
+``repro serve``) are thin wrappers over :func:`run_full_report`;
+:func:`add_report_flags` keeps their flag sets identical.
 """
 
 from __future__ import annotations
@@ -28,19 +29,6 @@ from ..hw.memmodel import AccessPattern
 from ..metrics.stats import LatencySummary
 from ..workloads.profiles import SUITE, SyncKind, fig9_profiles
 from ..workloads.serving import SATURATION_RATE
-from . import figures
-from .figures import (
-    FIG11_APPS,
-    FIG15_APPS,
-    SPINLOCK_ORDER,
-    TABLE3_APPS,
-    Fig1Row,
-    Fig2Row,
-    Fig3Row,
-    Fig9Row,
-    Fig10Row,
-    Fig11Point,
-)
 from .parallel import (
     DEFAULT_CACHE_DIR,
     DEFAULT_TIMEOUT_S,
@@ -57,6 +45,15 @@ KB = 1024
 MB = 1024 * KB
 
 QUICK_SCALE = 0.3
+
+SPINLOCK_ORDER = [
+    "alock-ls", "clh", "malth", "mcs", "partitioned",
+    "pthread", "ticket", "ttas", "cna", "aqs",
+]
+
+FIG11_APPS = ["ep", "facesim", "streamcluster", "ocean", "cg"]
+FIG15_APPS = ["freqmine", "streamcluster", "lu_cb", "ocean", "radix"]
+TABLE3_APPS = ["is", "ep", "cg", "mg", "ft", "sp", "bt", "ua"]
 
 FIG04_SIZES = [
     64 * KB, 128 * KB, 256 * KB, 512 * KB, 1 * MB, 2 * MB, 4 * MB,
@@ -108,6 +105,19 @@ def _specs_fig01(p: ReportParams) -> list[ExperimentSpec]:
     ]
 
 
+@dataclass(frozen=True)
+class Fig1Row:
+    name: str
+    group: str
+    t8_ns: int
+    t32_ns: int
+    paper_ratio: float
+
+    @property
+    def ratio(self) -> float:
+        return self.t32_ns / self.t8_ns
+
+
 def _render_fig01(p: ReportParams, res: dict, out: TextIO) -> None:
     rows = [
         Fig1Row(
@@ -148,20 +158,13 @@ def _specs_fig02(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_fig02(p: ReportParams, res: dict, out: TextIO) -> None:
-    pure1 = res["fig02/1T/pure"]["duration_ns"]
-    atomic1 = res["fig02/1T/atomic"]["duration_ns"]
-    rows = []
-    for n in range(1, 9):
-        pure = res[f"fig02/{n}T/pure"]["duration_ns"]
-        atomic = res[f"fig02/{n}T/atomic"]["duration_ns"]
-        rows.append(Fig2Row(
-            nthreads=n, pure_ns=pure, atomic_ns=atomic,
-            pure_normalized=pure / pure1,
-            atomic_normalized=atomic / atomic1,
-        ))
+    def norm(n: int, kind: str) -> float:
+        return (res[f"fig02/{n}T/{kind}"]["duration_ns"]
+                / res[f"fig02/1T/{kind}"]["duration_ns"])
+
     print(format_table(
         ["threads", "pure (norm)", "atomic (norm)"],
-        [[r.nthreads, r.pure_normalized, r.atomic_normalized] for r in rows],
+        [[n, norm(n, "pure"), norm(n, "atomic")] for n in range(1, 9)],
         float_fmt="{:.4f}",
     ), file=out)
     per_switch = res["fig02/per_switch"]["per_switch_ns"]
@@ -187,16 +190,31 @@ def _specs_fig03(p: ReportParams) -> list[ExperimentSpec]:
     ]
 
 
-def _render_fig03(p: ReportParams, res: dict, out: TextIO) -> None:
-    rows = []
+def fig03_histogram(
+    intervals_us: list[float], bin_us: float = 100.0, max_us: float = 1000.0
+) -> list[tuple[str, int]]:
+    """The paper's histogram: number of programs per interval bucket."""
+    nbins = int(max_us / bin_us)
+    counts = [0] * (nbins + 1)
+    for interval in intervals_us:
+        counts[min(nbins, int(interval / bin_us))] += 1
+    labels = [f"{int(i * bin_us)}-{int((i + 1) * bin_us)}" for i in range(nbins)]
+    labels.append(f">={int(max_us)}")
+    return list(zip(labels, counts))
+
+
+def fig03_intervals_us(res: dict) -> list[float]:
+    """Per program: CPU time divided by blocking syncs, in microseconds."""
+    intervals = []
     for name in _fig03_names():
         stats = res[f"fig03/{name}"]["stats"]
-        blocks = max(1, stats["blocks"])
-        rows.append(Fig3Row(
-            name=name, interval_us=stats["total_cpu_ns"] / blocks / 1e3,
-        ))
+        intervals.append(stats["total_cpu_ns"] / max(1, stats["blocks"]) / 1e3)
+    return intervals
+
+
+def _render_fig03(p: ReportParams, res: dict, out: TextIO) -> None:
     print(format_table(
-        ["bucket (us)", "# programs"], figures.fig03_histogram(rows),
+        ["bucket (us)", "# programs"], fig03_histogram(fig03_intervals_us(res)),
     ), file=out)
 
 
@@ -252,28 +270,55 @@ def _specs_fig09(p: ReportParams) -> list[ExperimentSpec]:
     return specs
 
 
+@dataclass(frozen=True)
+class Fig9Row:
+    name: str
+    t8_vanilla_ns: int
+    t32_vanilla_ns: int
+    t32_optimized_ns: int
+    util_8t: float
+    util_32t: float
+    util_opt: float
+    migr_in_8t: int
+    migr_in_32t: int
+    migr_in_opt: int
+    migr_cross_8t: int
+    migr_cross_32t: int
+    migr_cross_opt: int
+
+    @property
+    def vanilla_ratio(self) -> float:
+        return self.t32_vanilla_ns / self.t8_vanilla_ns
+
+    @property
+    def optimized_ratio(self) -> float:
+        return self.t32_optimized_ns / self.t8_vanilla_ns
+
+
+def fig09_row(res: dict, name: str) -> Fig9Row:
+    """One Figure 9 / Table 1 row from an app's 8T, 32T and opt results."""
+    r = {label: res[f"fig09/{name}/{label}"] for label in _FIG09_SETTINGS}
+    s8, s32, sop = (r[k]["stats"] for k in _FIG09_SETTINGS)
+    return Fig9Row(
+        name=name,
+        t8_vanilla_ns=r["8T"]["duration_ns"],
+        t32_vanilla_ns=r["32T"]["duration_ns"],
+        t32_optimized_ns=r["opt"]["duration_ns"],
+        util_8t=s8["cpu_utilization_pct"],
+        util_32t=s32["cpu_utilization_pct"],
+        util_opt=sop["cpu_utilization_pct"],
+        migr_in_8t=s8["migrations_in_node"],
+        migr_in_32t=s32["migrations_in_node"],
+        migr_in_opt=sop["migrations_in_node"],
+        migr_cross_8t=s8["migrations_cross_node"],
+        migr_cross_32t=s32["migrations_cross_node"],
+        migr_cross_opt=sop["migrations_cross_node"],
+    )
+
+
 def _render_fig09(p: ReportParams, res: dict, out: TextIO) -> None:
-    rows = []
-    for prof in fig9_profiles():
-        r = {label: res[f"fig09/{prof.name}/{label}"]
-             for label in _FIG09_SETTINGS}
-        s8, s32, sop = (r[k]["stats"] for k in _FIG09_SETTINGS)
-        rows.append(Fig9Row(
-            name=prof.name,
-            smt=False,
-            t8_vanilla_ns=r["8T"]["duration_ns"],
-            t32_vanilla_ns=r["32T"]["duration_ns"],
-            t32_optimized_ns=r["opt"]["duration_ns"],
-            util_8t=s8["cpu_utilization_pct"],
-            util_32t=s32["cpu_utilization_pct"],
-            util_opt=sop["cpu_utilization_pct"],
-            migr_in_8t=s8["migrations_in_node"],
-            migr_in_32t=s32["migrations_in_node"],
-            migr_in_opt=sop["migrations_in_node"],
-            migr_cross_8t=s8["migrations_cross_node"],
-            migr_cross_32t=s32["migrations_cross_node"],
-            migr_cross_opt=sop["migrations_cross_node"],
-        ))
+    rows = [fig09_row(res, prof.name) for prof in fig9_profiles()]
+
     def wake_p99_us(stats: dict) -> str:
         hist = (stats.get("extra") or {}).get("hist:wakeup_latency_ns")
         return f"{hist['p99'] / 1e3:.0f}" if hist else "-"
@@ -333,6 +378,19 @@ def _specs_fig10(p: ReportParams) -> list[ExperimentSpec]:
                     seed=p.seed,
                 ))
     return specs
+
+
+@dataclass(frozen=True)
+class Fig10Row:
+    primitive: str
+    nthreads: int
+    cores: int
+    vanilla_ns: int
+    optimized_ns: int
+
+    @property
+    def speedup(self) -> float:
+        return self.vanilla_ns / self.optimized_ns
 
 
 def _render_fig10(p: ReportParams, res: dict, out: TextIO) -> None:
@@ -395,26 +453,15 @@ def _specs_fig11(p: ReportParams) -> list[ExperimentSpec]:
 
 
 def _render_fig11(p: ReportParams, res: dict, out: TextIO) -> None:
-    points = [
-        Fig11Point(app, c, s,
-                   res[f"fig11/{app}/{c}c/{s}"]["duration_ns"])
-        for app in FIG11_APPS
-        for c in _FIG11_CORES
-        for s in _FIG11_SETTINGS
-    ]
-    by: dict[str, dict] = {}
-    for pt in points:
-        by.setdefault(pt.app, {})[(pt.cores, pt.setting)] = pt.duration_ns
-    for app, d in by.items():
+    def cell(app: str, cores: int, setting: str) -> str:
+        ns = res[f"fig11/{app}/{cores}c/{setting}"]["duration_ns"]
+        return "crash" if ns is None else f"{ns / 1e6:.1f}"
+
+    for app in FIG11_APPS:
         print(format_table(
             ["cores", "#core-T", "8T", "32T", "32T pin", "32T opt"],
-            [
-                [c] + [
-                    "crash" if d[(c, s)] is None else f"{d[(c, s)] / 1e6:.1f}"
-                    for s in _FIG11_SETTINGS
-                ]
-                for c in _FIG11_CORES
-            ],
+            [[c] + [cell(app, c, s) for s in _FIG11_SETTINGS]
+             for c in _FIG11_CORES],
             title=app,
         ), file=out)
 
@@ -1012,6 +1059,12 @@ SECTIONS: list[Section] = [
 ]
 
 
+#: Fidelity-spec sections whose results another report section produces:
+#: Table 1 reads the Figure 9 runs, and the PSI telemetry checks read the
+#: telemetry of those same runs.
+_DATA_SECTION = {"table1": "fig09", "telemetry": "fig09"}
+
+
 def build_all_specs(p: ReportParams) -> list[tuple[Section, list[ExperimentSpec]]]:
     return [(section, section.build(p)) for section in SECTIONS]
 
@@ -1027,8 +1080,8 @@ def banner(title: str, out: TextIO) -> None:
 
 
 def add_report_flags(ap: argparse.ArgumentParser) -> None:
-    """The shared flag set of ``benchmarks/run_all.py`` and
-    ``python -m repro all``."""
+    """The shared flag set of ``benchmarks/run_all.py``,
+    ``python -m repro all`` and every per-section command."""
     ap.add_argument("--scale", type=float, default=None,
                     help="workload scale (default 1.0, or 0.3 with --quick; "
                          "an explicit value always wins)")
@@ -1041,8 +1094,9 @@ def add_report_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                     help=f"result cache directory (default {DEFAULT_CACHE_DIR})")
     ap.add_argument("--results", default="results.json", metavar="FILE",
-                    help="machine-readable results artifact "
-                         "(default results.json; 'none' disables)")
+                    help="machine-readable results artifact (default "
+                         "results.json, or results-<section>.json for a "
+                         "section command; 'none' disables)")
     ap.add_argument("--seed", type=int, default=2021)
     ap.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
                     metavar="SECONDS", help="per-experiment timeout")
@@ -1101,7 +1155,8 @@ def run_full_report(
     (:mod:`repro.validate`) against the produced results and turns any
     VIOLATION into exit 4.  ``sections`` restricts the run to the named
     section keys (default: all of :data:`SECTIONS`); validation then
-    evaluates only the fidelity specs of those sections."""
+    evaluates only the fidelity specs whose results those sections
+    produce (``_DATA_SECTION``)."""
     out = out if out is not None else sys.stdout
     progress_out = progress_out if progress_out is not None else sys.stderr
     t0 = time.time()
@@ -1227,7 +1282,8 @@ def run_full_report(
         from ..validate.specs import SPECS
 
         subset = None if sections is None else [
-            s for s in SPECS if s.section in sections
+            s for s in SPECS
+            if _DATA_SECTION.get(s.section, s.section) in sections
         ]
         report = evaluate(Results(artifact), specs=subset)
         counts = report.counts()

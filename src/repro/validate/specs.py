@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import ReproError
-from ..runners.figures import FIG15_APPS, SPINLOCK_ORDER
+from ..runners.full_report import FIG15_APPS, SPINLOCK_ORDER, TABLE3_APPS
 from ..workloads.profiles import SUITE, Group
 
 __all__ = [
@@ -450,25 +450,22 @@ def _table2_sensitivity_worst(r: Results) -> float:
     return min(sens(alg) for alg in SPINLOCK_ORDER) * 100.0
 
 
-_TABLE3_APPS = ["is", "ep", "cg", "mg", "ft", "sp", "bt", "ua"]
-
-
 def _table3_specificity_worst(r: Results) -> float:
     def spec(name: str) -> float:
         res = r.result(f"table3/{name}")
         if not res["tries"]:
             return 1.0
         return 1.0 - res["false_positives"] / res["tries"]
-    return min(spec(name) for name in _TABLE3_APPS) * 100.0
+    return min(spec(name) for name in TABLE3_APPS) * 100.0
 
 
 def _table3_fp_overhead_worst(r: Results) -> float:
-    return max(r.result(f"table3/{n}")["overhead_pct"] for n in _TABLE3_APPS)
+    return max(r.result(f"table3/{n}")["overhead_pct"] for n in TABLE3_APPS)
 
 
 def _table3_timer_overhead_worst(r: Results) -> float:
     return max(r.result(f"table3/{n}")["timer_overhead_pct"]
-               for n in _TABLE3_APPS)
+               for n in TABLE3_APPS)
 
 
 # ----- Heavy-traffic serving (beyond the paper) ----------------------

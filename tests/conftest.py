@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import pytest
@@ -18,6 +19,23 @@ from repro.config import (
     optimized_config,
     vanilla_config,
 )
+from repro.runners.full_report import SECTIONS, ReportParams
+from repro.runners.parallel import ParallelRunner
+
+
+@pytest.fixture
+def run_section():
+    """Run a report section's own specs: built at ``scale``/``seed``,
+    filtered by ``keep(spec_id)``, ``params`` overriding spec params.
+    Returns ``{spec id: result}``."""
+    def run(key, scale, keep=None, seed=2021, **params) -> dict:
+        section = next(s for s in SECTIONS if s.key == key)
+        specs = [dataclasses.replace(s, params={**s.params, **params})
+                 for s in section.build(ReportParams(scale, False, seed))
+                 if keep is None or keep(s.id)]
+        values = ParallelRunner(jobs=1, use_cache=False).run(specs)
+        return {s.id: v for s, v in zip(specs, values)}
+    return run
 
 
 @pytest.fixture

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+FIXTURE = Path(__file__).resolve().parents[1] / "benchmarks" / "fixtures" / \
+    "results-quick.json"
 
 
 def run_cli(capsys, *argv) -> str:
@@ -43,23 +49,47 @@ def test_suite_rejects_unknown_benchmark():
         build_parser().parse_args(["suite", "doom3"])
 
 
-def test_fig04(capsys):
-    out = run_cli(capsys, "fig04")
+def _section_results_match_fixture(capsys, tmp_path, key: str) -> str:
+    """``repro <key> --quick`` writes exactly the fixture's entries for
+    that section: the per-section commands and ``repro all`` share specs."""
+    path = tmp_path / f"results-{key}.json"
+    out = run_cli(capsys, key, "--quick", "--no-cache", "--jobs", "1",
+                  "--results", str(path))
+    fixture = json.loads(FIXTURE.read_text(encoding="utf-8"))["results"]
+    want = [e for e in fixture if e["id"].startswith(f"{key}/")]
+    got = json.loads(path.read_text(encoding="utf-8"))["results"]
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    return out
+
+
+def test_fig04(capsys, tmp_path):
+    out = _section_results_match_fixture(capsys, tmp_path, "fig04")
     assert "rnd-r" in out and "128MB" in out
 
 
-def test_fig02(capsys):
-    out = run_cli(capsys, "fig02")
+def test_fig02(capsys, tmp_path):
+    out = _section_results_match_fixture(capsys, tmp_path, "fig02")
     assert "per-switch cost" in out
 
 
 def test_fig01_subset_scaled(capsys):
-    out = run_cli(capsys, "fig01", "--scale", "0.15")
+    out = run_cli(capsys, "fig01", "--scale", "0.15", "--no-cache",
+                  "--jobs", "1", "--results", "none")
     assert "Figure 1" in out
     assert "lu" in out
 
 
 def test_table1_alias_exists():
-    ap = build_parser()
-    args = ap.parse_args(["table1", "--scale", "0.1"])
-    assert args.fn.__name__ == "cmd_fig09"
+    args = build_parser().parse_args(["table1", "--scale", "0.1"])
+    assert args.sections == ["fig09"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig09", "--smt"],
+    ["fig12", "--duration-ms", "300"],
+    ["table2", "--duration-ms", "300"],
+])
+def test_removed_figure_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2

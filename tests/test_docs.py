@@ -131,12 +131,11 @@ def _all_option_strings(parser) -> set[str]:
     return opts
 
 
-# Flags documented for tools other than ``python -m repro``: pip, the
-# pytest benchmark runner, and the perf harness's own script
+# Flags documented for tools other than ``python -m repro``: pip and
+# the perf harness's own script
 # (``benchmarks/perf/run.py`` builds its parser inside main()).
 _NON_REPRO_FLAGS = {
     "--no-build-isolation",              # pip (README install section)
-    "--benchmark-only",                  # pytest-benchmark (README)
     "--check-baseline", "--write-baseline", "--tolerance", "--output",
     "--json",                            # benchmarks/perf/run.py
 }
