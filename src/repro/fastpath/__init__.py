@@ -7,8 +7,9 @@ The simulator ships two interchangeable hot cores:
   :class:`repro.kernel.runqueue.CfsRunqueue` (red-black tree).
 * ``fast`` — this package: a slab/heap event engine (a C extension
   compiled on first use, with a pure-Python slab fallback), a
-  heap-with-tombstones runqueue, struct-of-arrays load columns for
-  numpy balance scans, and batched RNG draw buffers.
+  heap-with-tombstones runqueue, and struct-of-arrays load columns for
+  numpy balance scans.  It draws no random numbers itself: the batched
+  arrival draws in :mod:`repro.workloads.loadgen` run on both backends.
 
 The backend is a process-global execution detail, *not* part of
 :class:`~repro.config.SimConfig` or any cache key: both backends

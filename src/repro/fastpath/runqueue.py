@@ -275,6 +275,16 @@ class FastCfsRunqueue:
         if vr is not None and vr > self.min_vruntime:
             self.min_vruntime = vr
 
+    def max_runnable_vruntime(self) -> int | None:
+        # A heap has no cheap maximum: scan the live entries.
+        vr = None
+        for e in self._heap:
+            t = e[3]
+            if (t.rq_key is e[2] and t.thread_state == 0
+                    and (vr is None or t.vruntime > vr)):
+                vr = t.vruntime
+        return vr
+
     def place_vruntime(self, task: Task, sleeper_bonus_ns: int = 0) -> None:
         target = self.min_vruntime - sleeper_bonus_ns
         task.vruntime = max(task.vruntime, target)

@@ -5,7 +5,7 @@ fills all 16 LBR entries with *identical, backward* conditional branches
 (call/return branches are filtered out, so nested-function spins like
 pthread's still look identical at the loop branch).
 
-Two faces:
+Three faces:
 
 * :class:`LastBranchRecord` — a real ring buffer with ``record()`` plus the
   spin-signature predicate, used by unit tests and by the micro-architectural
@@ -14,6 +14,9 @@ Two faces:
   have observed, from the summary of what executed during the window (the
   DES does not simulate individual branches; per the profiling numbers a
   100 us window retires ~300k instructions, far below event granularity).
+* :func:`synthesize_lbr_signature` — BWD's per-window path: that ring's
+  spin-signature predicate, replayed from the same random words without
+  building the ring; :func:`synthesize_lbr` is its reference.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+_M32 = 0xFFFFFFFF
+_UNIT = 2.0**-53  # numpy's random(): the top 53 bits of a word
 
 
 @dataclass(frozen=True)
@@ -112,33 +118,92 @@ def synthesize_lbr_signature(
 ) -> bool:
     """``synthesize_lbr(...).is_spin_signature()`` without building the ring.
 
-    Draws from ``rng`` in exactly the same order and count as
-    :func:`synthesize_lbr`, so a simulation using this fast path is
-    bit-identical to one materializing the record objects — BWD calls it
-    once per monitored window, where the ring itself is never inspected
-    beyond this one predicate (``tests/test_lbr_pmc_ple.py`` checks the
-    equivalence property).
+    Leaves ``rng`` in exactly the state :func:`synthesize_lbr` leaves it
+    in, so a simulation using this fast path is bit-identical to one
+    materializing the record objects — BWD calls it once per monitored
+    window, where the ring itself is never inspected beyond this one
+    predicate (``tests/test_lbr_pmc_ple.py`` checks the equivalence).
+
+    A mixed window would take up to 49 scalar numpy calls. Instead, the
+    words those calls consume are read with one ``random_raw`` call and
+    numpy's PCG64 ``Generator`` is replayed on them:
+
+    * ``random()`` is ``(word >> 11) * 2**-53``;
+    * ``integers(lo, hi)`` is Lemire's multiply-shift: with a 32-bit draw
+      ``u`` and ``span = hi - lo``, ``m = u * span`` is redrawn while its
+      low 32 bits are below ``2**32 % span``, and the value is
+      ``lo + (m >> 32)``;
+    * a 32-bit draw returns the high half of the last word if it is
+      waiting in the one-slot ``has_uint32``/``uinteger`` buffer, else the
+      low half of a fresh word, whose high half it buffers.
+
+    ``random_raw`` does not touch that buffer, so the replay reads it from
+    ``bit_generator.state`` and writes its final value back. Without a
+    rejection every entry takes two words whatever the buffer holds; a
+    ring shortened to ``capacity - 1`` entries gives its two unread words
+    back by restarting from the window's state with ``advance``.
     """
     if spin_fraction >= 1.0 and rng.random() >= pollution_probability:
         # Pure spin ring: full, identical, backward by construction.
         return capacity > 0
-    n = capacity if spin_fraction > 0 or rng.random() < 0.95 else capacity - 1
-    if n < capacity:
-        # Under-filled ring can never match, but the per-entry draws must
-        # still happen to keep the stream aligned.
-        for _ in range(n):
-            rng.integers(0x400000, 0x500000)
-            rng.random()
-            rng.integers(4, 4096)
-        return False
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    if start["bit_generator"] != "PCG64":
+        raise TypeError(f"replay needs a PCG64 generator, got {bitgen!r}")
+    has32, buf32 = start["has_uint32"], start["uinteger"]
+    lead = 0 if spin_fraction > 0 else 1  # the ring-length draw
+    words = bitgen.random_raw(lead + 2 * capacity).tolist()
+    n = capacity
+    if lead and (words[0] >> 11) * _UNIT >= 0.95:
+        n -= 1
+    pos = lead
     first_frm = first_to = 0
     identical = True
     for i in range(n):
-        frm = int(rng.integers(0x400000, 0x500000))
-        direction = -1 if rng.random() < 0.4 else 1
-        to = frm + direction * int(rng.integers(4, 4096))
-        if i == 0:
-            first_frm, first_to = frm, to
-        elif frm != first_frm or to != first_to:
-            identical = False
-    return n > 0 and identical and first_to < first_frm
+        # integers(0x400000, 0x500000): a 2**20 span never rejects.
+        if has32:
+            has32 = 0
+            frm_u = buf32
+        else:
+            w = words[pos]
+            pos += 1
+            has32, buf32, frm_u = 1, w >> 32, w & _M32
+        dir_word = words[pos]  # random() < 0.4 makes a backward branch
+        pos += 1
+        # integers(4, 4096): a 4092 span rejects 2**32 % 4092 == 4 values.
+        if has32:
+            has32 = 0
+            u = buf32
+        else:
+            w = words[pos]
+            pos += 1
+            has32, buf32, u = 1, w >> 32, w & _M32
+        m = u * 4092
+        while m & _M32 < 4:
+            if has32:
+                has32 = 0
+                u = buf32
+            else:
+                # The redraw takes a word no entry was budgeted for.
+                words += bitgen.random_raw(1).tolist()
+                w = words[pos]
+                pos += 1
+                has32, buf32, u = 1, w >> 32, w & _M32
+            m = u * 4092
+        if identical:  # else only the words the entry consumes matter
+            frm = 0x400000 + ((frm_u * 0x100000) >> 32)
+            dist = 4 + (m >> 32)
+            backward = (dir_word >> 11) * _UNIT < 0.4
+            to = frm - dist if backward else frm + dist
+            if i == 0:
+                first_frm, first_to = frm, to
+            elif frm != first_frm or to != first_to:
+                identical = False
+    if pos < len(words):
+        bitgen.state = start
+        bitgen.advance(pos)
+    end = bitgen.state
+    end["has_uint32"], end["uinteger"] = has32, buf32
+    bitgen.state = end
+    # An under-filled ring can never match.
+    return n == capacity and n > 0 and identical and first_to < first_frm

@@ -28,6 +28,8 @@ from .task import Task, TaskState
 
 # An hour of virtual runtime: far beyond anything a real task accumulates.
 VB_SENTINEL = 3_600_000_000_000
+# Sorts above every real ``(vruntime, seq)`` key and below every sentinel one.
+_SENTINEL_FLOOR = (VB_SENTINEL,)
 
 
 class CfsRunqueue:
@@ -163,6 +165,20 @@ class CfsRunqueue:
                     vr = t.vruntime
         if vr is not None and vr > self.min_vruntime:
             self.min_vruntime = vr
+
+    def max_runnable_vruntime(self) -> int | None:
+        """Largest vruntime among queued runnable (not VB-blocked) tasks,
+        or None.  Under CFS keying a queued task's key is its vruntime
+        (the chaos rq-key invariant), so this is one O(log n) descent to
+        the greatest key below the VB sentinel."""
+        if self.key_fn is None:
+            item = self.tree.max_item_below(_SENTINEL_FLOOR)
+            return None if item is None else item[0][0]
+        vr = None
+        for t in self.tree.values():
+            if t.thread_state == 0 and (vr is None or t.vruntime > vr):
+                vr = t.vruntime
+        return vr
 
     def place_vruntime(self, task: Task, sleeper_bonus_ns: int = 0) -> None:
         """CFS ``place_entity``: cap a sleeper's vruntime near the queue's

@@ -6,9 +6,9 @@ kernel's ``cfs_rq->tasks_timeline``.  Virtual blocking relies on tail
 insertion via a sentinel key, so ordered iteration and leftmost lookup must
 be exact — hence a real tree rather than a lazy heap.
 
-Supports insert, delete, min, iteration, and membership; keys must be
-mutually comparable and unique (the runqueue guarantees uniqueness through
-the enqueue sequence number).
+Supports insert, delete, min, max-below, iteration, and membership; keys
+must be mutually comparable and unique (the runqueue guarantees uniqueness
+through the enqueue sequence number).
 """
 
 from __future__ import annotations
@@ -91,6 +91,19 @@ class RedBlackTree:
         while node.right is not None:
             node = node.right
         return node.key, node.value
+
+    def max_item_below(self, bound) -> tuple[Any, Any] | None:
+        """``(key, value)`` of the greatest key strictly below ``bound``,
+        or None if there is none: one O(log n) descent."""
+        best = None
+        node = self._root
+        while node is not None:
+            if node.key < bound:
+                best = node
+                node = node.right
+            else:
+                node = node.left
+        return None if best is None else (best.key, best.value)
 
     @staticmethod
     def _leftmost(node: _Node) -> _Node:

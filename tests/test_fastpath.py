@@ -214,6 +214,54 @@ def test_runqueue_parity_randomized_ops(ops):
     fast_rq.tree.validate()
 
 
+_max_vr_op = st.one_of(
+    st.tuples(
+        st.just("enqueue"),
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),
+    ),
+    st.tuples(st.just("dequeue"), st.integers(min_value=0, max_value=15)),
+    st.tuples(st.just("pick")),
+)
+
+
+@pytest.mark.parametrize("policy_keyed", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_max_vr_op, min_size=1, max_size=60))
+def test_max_runnable_vruntime_parity(policy_keyed, ops):
+    """BWD's skip-flag placement reads the largest queued runnable
+    vruntime: the rbtree's max-below-sentinel descent (or its scan under
+    a policy key_fn) and the heap's scan agree with a brute-force
+    answer while VB-sentinel entries are queued."""
+    pure_rq, fast_rq = CfsRunqueue(0), FastCfsRunqueue(0)
+    if policy_keyed:
+        pure_rq.key_fn = fast_rq.key_fn = lambda t: -t.vruntime
+    pure_tasks, fast_tasks = _mirrored_tasks(16)
+    for op in ops:
+        for tasks, rq in ((pure_tasks, pure_rq), (fast_tasks, fast_rq)):
+            if op[0] == "enqueue":
+                t = tasks[op[1]]
+                if t.rq_key is None:
+                    t.vruntime = op[2]
+                    t.thread_state = 1 if op[3] else 0
+                    t.state = TaskState.RUNNABLE
+                    rq.enqueue(t)
+            elif op[0] == "dequeue":
+                t = tasks[op[1]]
+                if t.rq_key is not None:
+                    rq.dequeue(t)
+            else:
+                rq.pick_next()
+        want = max(
+            (t.vruntime for t in pure_tasks
+             if t.rq_key is not None and t.thread_state == 0),
+            default=None,
+        )
+        assert pure_rq.max_runnable_vruntime() == want, op
+        assert fast_rq.max_runnable_vruntime() == want, op
+
+
 def test_runqueue_tree_view_matches():
     rq = FastCfsRunqueue(3)
     _pure, tasks = _mirrored_tasks(6)

@@ -317,3 +317,35 @@ def test_trace_records_park_and_wake(vanilla1):
     assert tr.count("wake") >= 1
     wake = next(tr.of_kind("wake"))
     assert wake.detail["how"] == "vanilla"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="_select_wake_cpu discounts a VB-placed task from its home CPU "
+    "after _finish_wake_vb_placed already dequeued it (ROADMAP item 5)",
+)
+def test_vb_placed_wake_counts_home_cpu_load_once():
+    """A VB-placed wake leaves its busy home CPU for an idle one: the task
+    is already off the home runqueue when the wake picks a CPU, so the
+    home's load is its running task, not one less."""
+    k = Kernel(optimized_config(cores=2, seed=5, bwd=False))
+    sem = Semaphore(0)
+
+    def busy():
+        yield Compute(50 * MS)
+
+    def waiter():
+        yield SemWait(sem)
+
+    k.spawn(busy(), name="busy", pinned_cpu=0)
+    w = k.spawn(waiter(), name="w", pinned_cpu=0)
+    k.run_for(10 * MS)
+    assert w.state is TaskState.VBLOCKED and w.vb_cpu == 0
+    assert k.current_task(0) is not None and k.current_task(1) is None
+    w.pinned_cpu = None  # free to be placed by the wake
+    # n=2 is not a sync wake; one waiter on two CPUs is under-subscribed,
+    # so VB selects a CPU instead of waking in place.
+    k.futex_wake(None, sem, n=2)
+    k.run_for(1 * MS)
+    assert k.vb_policy.stats.vb_placed_wakes == 1
+    assert w.last_cpu == 1

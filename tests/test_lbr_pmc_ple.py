@@ -150,6 +150,24 @@ def test_ple_disabled_never_fires():
 # the RNG stream identically (BWD's bit-reproducibility depends on both).
 
 
+def _rng_pair(seed):
+    """Two identical generators; odd seeds start with a buffered 32-bit
+    half (one ``integers(0, 16)`` pre-draw), which only the 32-bit draws
+    behind ``integers`` ever read."""
+    pair = np.random.default_rng(seed), np.random.default_rng(seed)
+    if seed % 2:
+        for rng in pair:
+            rng.integers(0, 16)
+    return pair
+
+
+def _assert_same_stream(rng_a, rng_b, case):
+    # The whole state, including PCG64's has_uint32/uinteger buffer...
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state, case
+    # ...and a draw that reads that buffer.
+    assert rng_a.integers(4, 4096) == rng_b.integers(4, 4096), case
+
+
 def test_lbr_signature_fast_path_equivalence():
     from repro.hw.lbr import synthesize_lbr_signature
 
@@ -165,13 +183,71 @@ def test_lbr_signature_fast_path_equivalence():
     ]
     for capacity, frac, sig, pollution in cases:
         for seed in range(50):
-            rng_a = np.random.default_rng(seed)
-            rng_b = np.random.default_rng(seed)
+            rng_a, rng_b = _rng_pair(seed)
             slow = synthesize_lbr(capacity, frac, sig, rng_a, pollution)
             fast = synthesize_lbr_signature(capacity, frac, sig, rng_b, pollution)
             assert fast == slow.is_spin_signature(), (capacity, frac, seed)
-            # Streams advanced identically: the next draw must agree.
-            assert rng_a.random() == rng_b.random(), (capacity, frac, seed)
+            _assert_same_stream(rng_a, rng_b, (capacity, frac, seed))
+
+
+def test_lbr_signature_rejects_a_generator_it_cannot_replay():
+    from repro.hw.lbr import synthesize_lbr_signature
+
+    rng = np.random.Generator(np.random.MT19937(1))
+    with pytest.raises(TypeError):
+        synthesize_lbr_signature(16, 0.0, 1, rng)
+
+
+# PCG64(2021) words whose 32-bit halves are multiples of 2**30: the only
+# draws integers(4, 4096) rejects (u * 4092 % 2**32 < 2**32 % 4092 == 4).
+_HIGH_HALF_REJECT_AT = 4_138_534_420  # 0x800000004863eb5d
+_LOW_HALF_REJECT_AT = 227_231_919  # 0xcbc1eafec0000000
+
+
+def _positioned_rng(skip_words, pre_draw):
+    rng = np.random.Generator(np.random.PCG64(2021))
+    rng.bit_generator.advance(skip_words)
+    if pre_draw:
+        rng.integers(0, 16)
+    return rng
+
+
+def test_lbr_signature_replays_lemire_rejection_with_fresh_word():
+    """Empty buffer: entry 0's distance draw is the high half of the
+    rejecting word, so the redraw takes a fresh word — the scalar path
+    consumes one word more than the no-rejection minimum."""
+    from repro.hw.lbr import synthesize_lbr_signature
+
+    start = _HIGH_HALF_REJECT_AT - 1  # the ring-length random() comes first
+    rng_a = _positioned_rng(start, pre_draw=False)
+    rng_b = _positioned_rng(start, pre_draw=False)
+    slow = synthesize_lbr(16, 0.0, 1, rng_a, 0.0)
+    assert len(slow.entries()) == 16
+    assert synthesize_lbr_signature(16, 0.0, 1, rng_b, 0.0) == (
+        slow.is_spin_signature()
+    )
+    minimum = 1 + 2 * 16  # ring-length draw + two words per entry
+    ref = np.random.PCG64(2021)
+    ref.advance(start + minimum + 1)
+    assert rng_a.bit_generator.state["state"] == ref.state["state"]
+    _assert_same_stream(rng_a, rng_b, "fresh-word rejection")
+
+
+def test_lbr_signature_replays_lemire_rejection_from_buffer():
+    """Odd buffer: the rejecting draw is a low half, and the redraw takes
+    the buffered high half instead of a fresh word, which leaves the
+    buffer empty where a rejection-free window would leave it full."""
+    from repro.hw.lbr import synthesize_lbr_signature
+
+    start = _LOW_HALF_REJECT_AT - 7  # the pre-draw takes one word
+    rng_a = _positioned_rng(start, pre_draw=True)
+    rng_b = _positioned_rng(start, pre_draw=True)
+    slow = synthesize_lbr(16, 0.0, 1, rng_a, 0.0)
+    assert synthesize_lbr_signature(16, 0.0, 1, rng_b, 0.0) == (
+        slow.is_spin_signature()
+    )
+    assert rng_a.bit_generator.state["has_uint32"] == 0
+    _assert_same_stream(rng_a, rng_b, "buffered rejection")
 
 
 def test_pmc_miss_free_fast_path_equivalence():
@@ -189,8 +265,7 @@ def test_pmc_miss_free_fast_path_equivalence():
     ]
     for window, frac, tight, scale in cases:
         for seed in range(50):
-            rng_a = np.random.default_rng(seed)
-            rng_b = np.random.default_rng(seed)
+            rng_a, rng_b = _rng_pair(seed)
             slow = synthesize_pmc(
                 window, frac, profile, rng_a,
                 tight_loop_probability=tight, miss_rate_scale=scale,
@@ -200,4 +275,4 @@ def test_pmc_miss_free_fast_path_equivalence():
                 tight_loop_probability=tight, miss_rate_scale=scale,
             )
             assert fast == slow.miss_free, (window, frac, tight, scale, seed)
-            assert rng_a.random() == rng_b.random(), (window, frac, seed)
+            _assert_same_stream(rng_a, rng_b, (window, frac, seed))

@@ -206,3 +206,41 @@ def test_property_leftmost_cache_under_churn(keys, data):
         t.validate()
         if alive:
             assert t.min_item()[0] == min(alive)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=10**4), unique=True, min_size=1),
+    st.data(),
+)
+def test_property_max_item_below_under_churn(keys, data):
+    """max_item_below agrees with a sorted-list scan through arbitrary
+    insert/remove interleavings, for bounds on, between and beyond the
+    live keys."""
+    t = RedBlackTree()
+    alive: list[int] = []
+    spare = [k + 10**4 + 1 for k in keys]
+
+    def check():
+        for bound in data.draw(
+            st.lists(st.integers(min_value=-1, max_value=3 * 10**4), max_size=5)
+        ) + alive[:3]:
+            below = [k for k in sorted(alive) if k < bound]
+            want = (below[-1], -below[-1]) if below else None
+            assert t.max_item_below(bound) == want, (bound, sorted(alive))
+
+    for k in keys:
+        t.insert(k, -k)
+        alive.append(k)
+    check()
+    for op in data.draw(st.lists(st.booleans(), max_size=30)):
+        if op and alive:
+            k = data.draw(st.sampled_from(alive))
+            t.remove(k)
+            alive.remove(k)
+        elif spare:
+            k = spare.pop()
+            t.insert(k, -k)
+            alive.append(k)
+        check()
+    t.validate()
