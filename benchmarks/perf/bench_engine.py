@@ -5,7 +5,7 @@ produces in practice:
 
 * **tick chains** — per-CPU events that fire and immediately reschedule
   a successor, frequently landing on a deadline another chain already
-  occupies (the case the bucketed timer wheel coalesces);
+  occupies (ties the engine breaks by schedule order);
 * **cancel/reschedule churn** — a fraction of events are cancelled
   before firing and rescheduled (slice-expiry invalidation);
 * **cancel-heavy pollution** — a rolling population of far-future
@@ -35,13 +35,6 @@ _CHAINS = 8  # concurrent tick chains, like 8 CPUs
 _PERIODS = (100, 100, 100, 250, 250, 500, 700, 1000)  # deliberate collisions
 
 
-def _queue_len(e) -> int:
-    """Raw queue length including tombstones, for any engine class."""
-    if hasattr(e, "queue_len"):
-        return e.queue_len()
-    return e._queued + (1 if getattr(e, "_head", None) else 0)
-
-
 def _never() -> None:  # a decoy timer body that must not run
     raise AssertionError("cancelled decoy fired")
 
@@ -62,7 +55,7 @@ def _drive_cancel_heavy(n_events: int) -> tuple[int, int]:
         while len(decoys) > 64:
             decoys.popleft().cancel()
         if e.events_run % 256 == 0:
-            q = _queue_len(e)
+            q = e.queue_len()
             if q > peak:
                 peak = q
 

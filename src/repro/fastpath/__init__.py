@@ -3,13 +3,15 @@
 The simulator ships two interchangeable hot cores:
 
 * ``pure`` (default) — the reference implementation:
-  :class:`repro.sim.engine.Engine` (bucketed timer wheel) and
-  :class:`repro.kernel.runqueue.CfsRunqueue` (red-black tree).
+  :class:`repro.sim.engine.Engine` (a binary heap of events) and
+  :class:`repro.kernel.runqueue.CfsRunqueue` (a sorted map).
 * ``fast`` — this package: a slab/heap event engine (a C extension
-  compiled on first use, with a pure-Python slab fallback), a
-  heap-with-tombstones runqueue, and struct-of-arrays load columns for
-  numpy balance scans.  It draws no random numbers itself: the batched
-  arrival draws in :mod:`repro.workloads.loadgen` run on both backends.
+  compiled on first use), a heap-with-tombstones runqueue, and
+  struct-of-arrays load columns for numpy balance scans.  Where the C
+  extension cannot be built, the fast backend runs the reference engine
+  with a ``RuntimeWarning``.  The package draws no random numbers
+  itself: the batched arrival draws in :mod:`repro.workloads.loadgen`
+  run on both backends.
 
 The backend is a process-global execution detail, *not* part of
 :class:`~repro.config.SimConfig` or any cache key: both backends
@@ -23,6 +25,7 @@ the ``--backend`` CLI flag.
 from __future__ import annotations
 
 import os
+import warnings
 
 BACKENDS = ("pure", "fast")
 
@@ -54,16 +57,22 @@ def fastcore_available() -> bool:
 
 
 def engine_class():
-    """The engine class the current backend would instantiate."""
+    """The engine class the current backend would instantiate.
+
+    Under ``fast`` on a host where the C core cannot be built this is
+    the reference engine, with a ``RuntimeWarning`` that says so."""
     if _backend == "fast":
         from .build import load_fastcore
 
         core = load_fastcore()
         if core is not None:
             return core.FastEngine
-        from .engine import SlabEngine
-
-        return SlabEngine
+        warnings.warn(
+            "fast backend: the C core (_fastcore) is unavailable; "
+            "falling back to the reference engine repro.sim.engine.Engine",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     from ..sim.engine import Engine
 
     return Engine

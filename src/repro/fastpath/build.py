@@ -7,8 +7,9 @@ filename, so edits to the C file invalidate the artifact automatically
 and concurrent processes can only ever race toward the same bytes.
 
 Everything degrades gracefully: no compiler, a failed compile, or a
-failed import all yield ``None`` and the caller falls back to the
-pure-Python slab engine (same semantics, less speed).
+failed import all yield ``None``, and the fast backend falls back to
+the reference engine :class:`repro.sim.engine.Engine` with a warning
+(same results, less speed).
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ def load_fastcore():
     """Return the compiled ``_fastcore`` module, or None if unavailable.
 
     The result (including failure) is cached for the process; set
-    ``REPRO_NO_FASTCORE=1`` to skip compilation entirely (forces the
-    pure-Python slab fallback for the fast backend).
+    ``REPRO_NO_FASTCORE=1`` to skip compilation entirely (the fast
+    backend then runs the reference engine).
     """
     global _cached_module, _load_attempted
     if _load_attempted:

@@ -8,8 +8,8 @@ Two levels of replay:
   cancelling *from inside callbacks* — and records the full observable
   trace: every fired event ``(time, tag)`` plus a clock/pending/
   events_run snapshot after each op.  :func:`engine_parity` runs the
-  same script through every available engine implementation (pure
-  wheel, slab fallback, compiled C core).
+  same script through every available engine implementation (the
+  reference heap and, when it compiles, the C core).
 
 * :func:`kernel_trace_parity` builds and runs the same simulated
   scenario once per backend with the trace recorder on, returning each
@@ -39,12 +39,8 @@ EngineOp = tuple
 def engine_backends() -> list[tuple[str, Callable[[], Any]]]:
     """Every engine implementation importable in this process."""
     from ..sim.engine import Engine
-    from .engine import SlabEngine
 
-    backends: list[tuple[str, Callable[[], Any]]] = [
-        ("pure", Engine),
-        ("slab", SlabEngine),
-    ]
+    backends: list[tuple[str, Callable[[], Any]]] = [("pure", Engine)]
     from .build import load_fastcore
 
     core = load_fastcore()

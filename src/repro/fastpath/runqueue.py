@@ -1,19 +1,19 @@
 """Heap-backed CFS runqueue: the fast backend's runqueue implementation.
 
 Drop-in replacement for :class:`repro.kernel.runqueue.CfsRunqueue` with
-the identical pick order.  The red-black tree is replaced by a binary
-heap of ``(k0, seq, key, task)`` entries; keys are the exact tuples the
-rbtree uses — ``(vruntime, enqueue_seq)`` or the VB-sentinel form — and
-``seq`` is unique, so the heap's pop order *is* the tree's in-order
-walk.  Dequeue is a lazy tombstone (``task.rq_key`` no longer matches
-the entry's key object), amortised away by compaction; enqueue/pick are
-pure C-speed ``heapq`` operations instead of rbtree rotations.
+the identical pick order.  The reference sorted map is replaced by a
+binary heap of ``(k0, seq, key, task)`` entries; keys are the exact
+tuples the map uses — ``(vruntime, enqueue_seq)`` or the VB-sentinel
+form — and ``seq`` is unique, so the heap's pop order *is* the map's
+key order.  Dequeue is a lazy tombstone (``task.rq_key`` no longer
+matches the entry's key object), amortised away by compaction;
+enqueue/pick are C-speed ``heapq`` operations.
 
 External consumers (the chaos invariant checker reads ``rq.tree.size``
 and walks ``rq.tree.items()``) see the same interface through a small
 shim object whose ``size`` attribute is kept in sync on every mutation;
 hot kernel paths read it with one attribute load exactly as they read
-the rbtree's.
+the map's.
 
 When a :class:`repro.fastpath.soa.CpuLoadBoard` is attached, every
 mutation write-throughs the queue's size/blocked counts into that
@@ -31,7 +31,7 @@ from ..kernel.task import Task, TaskState
 
 
 class _HeapTreeView:
-    """The slice of the rbtree interface external code touches, backed
+    """The slice of the sorted-map interface external code touches, backed
     by the fast runqueue's heap.  ``size`` is a plain attribute (hot
     paths read it constantly); the iteration methods build sorted
     snapshots (cold paths: invariants, debugging)."""
@@ -44,7 +44,7 @@ class _HeapTreeView:
         self._injected: list[tuple[tuple[int, int], Task]] = []
 
     def insert(self, key: tuple[int, int], task: Task) -> None:
-        """Plant a raw entry, mirroring ``rbtree.insert``: the entry
+        """Plant a raw entry, mirroring ``SortedMap.insert``: the entry
         becomes visible to iteration with *no* runqueue bookkeeping
         (no ``rq_key``, no counters).  Exists for chaos/fault-injection
         tests that corrupt the tree directly and expect the invariant

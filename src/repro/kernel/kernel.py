@@ -89,7 +89,7 @@ class CpuState:
     def __init__(self, cpu_id: int, info) -> None:
         self.id = cpu_id
         self.info = info
-        # Backend-selected runqueue: the reference rbtree CfsRunqueue
+        # Backend-selected runqueue: the reference sorted-map CfsRunqueue
         # (pure) or the heap-backed FastCfsRunqueue (fast) — identical
         # pick order either way (see repro.fastpath).
         self.rq = make_runqueue(cpu_id)

@@ -1,8 +1,9 @@
-"""Per-CPU CFS runqueue: a red-black tree ordered by virtual runtime.
+"""Per-CPU CFS runqueue: queued tasks ordered by virtual runtime.
 
-Mirrors ``cfs_rq``: the currently running task is *not* in the tree; the
-tree is keyed by ``(vruntime, enqueue_seq)``; ``min_vruntime`` advances
-monotonically and places newly woken tasks.
+Mirrors ``cfs_rq``: the currently running task is *not* queued; the
+queue (``tree``, a :class:`~repro.util.sortedmap.SortedMap`) is keyed by
+``(vruntime, enqueue_seq)``; ``min_vruntime`` advances monotonically and
+places newly woken tasks.
 
 Virtual blocking inserts blocked tasks at the tail using a sentinel key
 component far above any real vruntime (the paper's "arbitrarily large
@@ -11,8 +12,8 @@ and only reaches blocked ones when the whole queue is blocked.
 
 Hot-path accounting is incremental: the queue counts its VB-blocked
 (sentinel-keyed) entries on enqueue/dequeue, so ``nr_schedulable()`` is
-O(1) instead of a per-call tree scan, and the tree's cached leftmost node
-makes ``peek_next``/``update_min_vruntime`` O(1).  This relies on an
+O(1) instead of a per-call scan, and the map's first slot makes
+``peek_next``/``update_min_vruntime`` O(1).  This relies on an
 invariant the kernel maintains: a queued task's key class (sentinel vs
 real vruntime) always matches its ``thread_state`` at every point where
 the queue is observed — VB wake paths re-key the task in the same
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..util.rbtree import RedBlackTree
+from ..util.sortedmap import SortedMap
 from .task import Task, TaskState
 
 # An hour of virtual runtime: far beyond anything a real task accumulates.
@@ -37,7 +38,7 @@ class CfsRunqueue:
 
     def __init__(self, cpu_id: int):
         self.cpu_id = cpu_id
-        self.tree = RedBlackTree()
+        self.tree = SortedMap()
         self.curr: Task | None = None
         self.min_vruntime: int = 0
         self._seq = 0
@@ -142,9 +143,8 @@ class CfsRunqueue:
 
     def update_min_vruntime(self) -> None:
         """Advance ``min_vruntime`` monotonically toward the smallest
-        runnable vruntime.  O(1): reads the cached leftmost key and skips
-        the tree entirely when the leftmost entry is a VB sentinel (every
-        queued task blocked) — no scan, no ``min_item`` descent."""
+        runnable vruntime.  O(1): reads the smallest key and ignores it
+        when it is a VB sentinel (every queued task blocked) — no scan."""
         curr = self.curr
         vr = None
         if curr is not None and curr.thread_state == 0:
@@ -169,7 +169,7 @@ class CfsRunqueue:
     def max_runnable_vruntime(self) -> int | None:
         """Largest vruntime among queued runnable (not VB-blocked) tasks,
         or None.  Under CFS keying a queued task's key is its vruntime
-        (the chaos rq-key invariant), so this is one O(log n) descent to
+        (the chaos rq-key invariant), so this is one binary search for
         the greatest key below the VB sentinel."""
         if self.key_fn is None:
             item = self.tree.max_item_below(_SENTINEL_FLOOR)

@@ -1,20 +1,16 @@
 """Discrete-event engine with an integer-nanosecond clock.
 
-Events live in a *bucketed timer wheel*: a dict mapping each distinct
-deadline to a FIFO list of handles, plus a heap of the distinct deadlines
-themselves.  Because the per-deadline lists are appended in scheduling
-order, draining the wheel bucket-by-bucket replays events in exactly
-``(time, schedule order)`` — the same total order as the classic
-``(time, seq, handle)`` heap, so every simulation stays bit-reproducible
-for a fixed seed.  The wheel coalesces heap traffic: scheduling onto an
-existing deadline is one dict lookup and a list append (no heap churn),
-which is the common case for per-CPU tick events that repeatedly land on
-the same slice boundary or action deadline.
+Events live in one binary heap of ``(time, seq, handle)`` entries, where
+``seq`` is a global schedule counter.  Entries are unique, so the heap
+pops events in exactly ``(time, schedule order)`` and tuple comparison
+never reaches the handle; every simulation is bit-reproducible for a
+fixed seed.
 
-Cancellation is lazy: :class:`EventHandle` carries a ``cancelled`` flag and
-popped events whose handle was cancelled are dropped.  The time of the next
-*live* event is cached (``_next_time``) so back-to-back ``peek_time`` calls
-and the run loop's bound checks do not rescan cancelled prefixes.
+Cancellation is lazy: :class:`EventHandle` carries a ``cancelled`` flag,
+and a cancelled entry stays in the heap until it surfaces at the top,
+where the run loop and ``peek_time`` drop it for good.  A live-event
+counter keeps ``pending`` O(1), and the heap is rebuilt without the
+cancelled entries once they outnumber the live ones.
 """
 
 from __future__ import annotations
@@ -97,15 +93,12 @@ class EventHandle:
         self._engine = None
         if engine is not None:
             engine._live -= 1
-            if engine._next_time is not None and self.time <= engine._next_time:
-                # The cached next-live time may have pointed at this event.
-                engine._next_time = None
-            # Wheel-pollution guard: cancelled-only deadlines otherwise
-            # sit in the deadline heap until drain.  Once live events
-            # fall below half the queued population, rebuild the wheel
-            # without the dead weight (FIFO order within each bucket is
-            # preserved, so the event order cannot change).
-            if engine._queued > 64 and engine._live * 2 < engine._queued:
+            # Cancel-heavy workloads (slice-expiry churn, torn-down
+            # timers) would otherwise grow the heap with entries that
+            # only wait to be popped; drop them once they outnumber the
+            # live ones.
+            n = len(engine._heap)
+            if n > 64 and engine._live * 2 < n:
                 engine._compact()
         # Drop references so cancelled events do not pin large objects
         # while they wait to be popped from the heap.
@@ -123,35 +116,14 @@ _new_handle = EventHandle.__new__
 class Engine:
     """Event loop owning the simulated clock."""
 
-    __slots__ = (
-        "now",
-        "_times",
-        "_buckets",
-        "_head",
-        "_head_idx",
-        "_head_time",
-        "_events_run",
-        "_live",
-        "_queued",
-        "_next_time",
-        "on_event",
-    )
+    __slots__ = ("now", "_heap", "_seq", "_live", "_events_run", "on_event")
 
     def __init__(self) -> None:
         self.now: int = 0
-        # Timer wheel: distinct deadlines (min-heap) -> FIFO handle lists.
-        self._times: list[int] = []
-        self._buckets: dict[int, list[EventHandle]] = {}
-        # The bucket currently being drained (popped off ``_buckets``).
-        self._head: list[EventHandle] | None = None
-        self._head_idx = 0
-        self._head_time = 0
+        self._heap: list[tuple[int, int, EventHandle]] = []
+        self._seq = 0  # global schedule counter: the heap's tie-breaker
+        self._live = 0  # queued entries not cancelled
         self._events_run = 0
-        self._live = 0
-        # Entries currently sitting in ``_buckets`` (live or cancelled);
-        # the denominator of the compaction trigger in ``cancel()``.
-        self._queued = 0
-        self._next_time: int | None = None  # cached next-live-event time
         # Post-event hook: called (no args) after each fired event.  Used
         # by the chaos invariant checker; must be installed before run().
         self.on_event: Callable[[], None] | None = None
@@ -173,16 +145,11 @@ class Engine:
         O(queue) — used by the invariant checker to cross-check the O(1)
         ``pending`` counter; never called on the hot path.
         """
-        n = sum(
-            1
-            for bucket in self._buckets.values()
-            for h in bucket
-            if not h.cancelled
-        )
-        head = self._head
-        if head is not None:
-            n += sum(1 for h in head[self._head_idx :] if not h.cancelled)
-        return n
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
+
+    def queue_len(self) -> int:
+        """Raw heap length, cancelled entries included."""
+        return len(self._heap)
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args) -> EventHandle:
         if time < self.now:
@@ -197,36 +164,9 @@ class Engine:
         handle.args = args
         handle.cancelled = False
         handle._engine = self
-        head = self._head
-        if head is not None and time < self._head_time:
-            # The drain cursor holds a bucket that is no longer the
-            # earliest deadline (peek_time()/run(until) pulled it before
-            # this earlier event existed).  Push its remainder back into
-            # the wheel so deadlines keep firing in order; entries it
-            # re-queues were scheduled before anything already bucketed
-            # at that time, so they go in front.
-            rest = head[self._head_idx:]
-            self._head = None
-            if rest:
-                ht = self._head_time
-                existing = self._buckets.get(ht)
-                if existing is None:
-                    self._buckets[ht] = rest
-                    heappush(self._times, ht)
-                else:
-                    existing[:0] = rest
-                self._queued += len(rest)
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [handle]
-            heappush(self._times, time)
-        else:
-            bucket.append(handle)
+        seq = self._seq = self._seq + 1
+        heappush(self._heap, (time, seq, handle))
         self._live += 1
-        self._queued += 1
-        nt = self._next_time
-        if nt is not None and time < nt:
-            self._next_time = time
         return handle
 
     def schedule(self, delay: int, fn: Callable[..., Any], *args) -> EventHandle:
@@ -234,81 +174,40 @@ class Engine:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule_at(self.now + delay, fn, *args)
 
-    def _advance_head(self) -> EventHandle | None:
-        """Return the next live handle without firing it, advancing past
-        cancelled entries and exhausted buckets; None when drained."""
-        while True:
-            head = self._head
-            if head is not None:
-                idx = self._head_idx
-                n = len(head)
-                while idx < n:
-                    handle = head[idx]
-                    if handle.cancelled:
-                        idx += 1
-                        continue
-                    self._head_idx = idx
-                    return handle
-                self._head = None
-            times = self._times
-            if not times:
-                self._next_time = None
-                return None
-            t = heappop(times)
-            head = self._buckets.pop(t)
-            self._head = head
-            self._head_idx = 0
-            self._head_time = t
-            self._queued -= len(head)
-
     def _compact(self) -> None:
-        """Rebuild the wheel without cancelled entries.
+        """Rebuild the heap without cancelled entries.
 
-        Cancel-heavy workloads (slice-expiry churn, torn-down timers)
-        otherwise leave cancelled-only deadlines in the deadline heap
-        until drain reaches them; each costs a heappop + dict pop for
-        nothing.  Filtering preserves per-bucket FIFO order and bucket
-        keys stay unique, so the drain order is untouched.  The bucket
-        currently being drained (``_head``) is left alone — it is at
-        most one deadline's worth of entries.
-
-        In-place mutation of ``_times``/``_buckets`` on purpose: the
-        ``run()`` loop holds local aliases to both.
+        The surviving entries keep their unique ``(time, seq)`` keys, so
+        the pop order cannot change.  In-place on purpose: the ``run()``
+        loop holds a local alias to the heap.
         """
-        buckets = self._buckets
-        kept = 0
-        for t in list(buckets):
-            bucket = buckets[t]
-            live = [h for h in bucket if not h.cancelled]
-            if not live:
-                del buckets[t]
-            else:
-                if len(live) != len(bucket):
-                    buckets[t] = live
-                kept += len(live)
-        self._times[:] = buckets.keys()
-        heapify(self._times)
-        self._queued = kept
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapify(heap)
 
     def peek_time(self) -> int | None:
-        """Time of the next live event, or None if the queue is empty."""
-        nt = self._next_time
-        if nt is not None:
-            return nt
-        handle = self._advance_head()
-        if handle is None:
-            return None
-        self._next_time = handle.time
-        return handle.time
+        """Time of the next live event, or None if the queue is empty.
+
+        Cancelled entries on top of the heap are popped for good, so the
+        heap top is the next live event and repeated calls are O(1)."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if not entry[2].cancelled:
+                return entry[0]
+            heappop(heap)
+        return None
 
     def step(self) -> bool:
         """Run the next live event. Returns False if none remain."""
-        handle = self._advance_head()
-        if handle is None:
+        heap = self._heap
+        while heap:
+            time, _seq, handle = heappop(heap)
+            if not handle.cancelled:
+                break
+        else:
             return False
-        self._head_idx += 1
-        self._next_time = None
-        self.now = handle.time
+        self.now = time
         self._events_run += 1
         self._live -= 1
         # Mark consumed: a late cancel() is a no-op, and owners holding the
@@ -330,8 +229,7 @@ class Engine:
         """Run events until the queue drains, ``until`` passes, or
         ``stop_when()`` becomes true (checked between events)."""
         count = 0
-        buckets = self._buckets
-        times = self._times
+        heap = self._heap
         # Hoisted: the hook contract is install-before-run.
         on_event = self.on_event
         while True:
@@ -348,50 +246,25 @@ class Engine:
                         f"soft deadline expired at t={self.now} "
                         f"after {self._events_run} events"
                     )
-            # Inlined _advance_head(): find the next live handle.
-            handle = None
-            while True:
-                head = self._head
-                if head is not None:
-                    idx = self._head_idx
-                    n = len(head)
-                    while idx < n:
-                        h = head[idx]
-                        if h.cancelled:
-                            idx += 1
-                            continue
-                        self._head_idx = idx
-                        handle = h
-                        break
-                    else:
-                        self._head = None
-                        continue
+            # Inlined step(): pop the next live entry.
+            while heap:
+                t, seq, handle = heappop(heap)
+                if not handle.cancelled:
                     break
-                if not times:
-                    self._next_time = None
-                    break
-                t = heappop(times)
-                head = buckets.pop(t)
-                self._head = head
-                self._head_idx = 0
-                self._head_time = t
-                self._queued -= len(head)
-            if handle is None:
+            else:
                 # Queue empty or fully drained: the run still covers the
                 # whole [now, until] window, so advance the clock to the
                 # bound — same as the not-yet-due path below.
                 if until is not None and until > self.now:
                     self.now = until
                 return
-            t = handle.time
             if until is not None and t > until:
-                self._next_time = t
+                # Not yet due: put it back.  Its key is unique, so it
+                # keeps its place in the order.
+                heappush(heap, (t, seq, handle))
                 if until > self.now:
                     self.now = until
                 return
-            # Inlined step(): the handle is live and due.
-            self._head_idx += 1
-            self._next_time = None
             self.now = t
             self._events_run += 1
             self._live -= 1

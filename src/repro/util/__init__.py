@@ -1,5 +1,5 @@
-"""Internal utilities: red-black tree, validation helpers."""
+"""Internal utilities: the runqueue's ordered map."""
 
-from .rbtree import RedBlackTree
+from .sortedmap import SortedMap
 
-__all__ = ["RedBlackTree"]
+__all__ = ["SortedMap"]

@@ -111,7 +111,7 @@ def test_rq_key_detected():
     k, chk = busy_kernel()
     _, t = queued_runnable(k)
     t.rq_key = (t.rq_key[0], t.rq_key[1] + 1)  # disagrees with the tree
-    # The pure rbtree still lists the task under its old key, so the
+    # The pure sorted map still lists the task under its old key, so the
     # checker reports the key mismatch; the fast heap's membership
     # token IS the rq_key object, so the same corruption drops the task
     # off the queue entirely and surfaces as a loss instead.

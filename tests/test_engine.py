@@ -207,11 +207,7 @@ def test_pending_matches_heap_scan():
             handles.pop(rng.randrange(len(handles))).cancel()
         else:
             e.step()
-        queued = [h for bucket in e._buckets.values() for h in bucket]
-        if e._head is not None:
-            queued.extend(e._head[e._head_idx:])
-        live = sum(1 for h in queued if not h.cancelled)
-        assert e.pending == live
+        assert e.pending == e.recount_live()
 
 
 def test_events_run_counter():

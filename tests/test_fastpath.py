@@ -5,17 +5,20 @@ docs/performance.md:
 
 * engine parity — hypothesis drives randomized schedule/cancel/run-until
   scripts (including re-entrant scheduling and cancellation from inside
-  callbacks) through the pure wheel, the slab fallback, and the compiled
-  C core, asserting identical event order, clock, pending count, and
-  peek time at every step;
-* runqueue/scan parity — the heap runqueue must reproduce the rbtree's
-  pick order op for op, and the numpy balance-scan kernels must pick the
-  same CPUs as the scalar loops, ties included;
+  callbacks) through the reference heap engine, the compiled C core and
+  a brute-force sorted-list engine, asserting identical event order,
+  clock, pending count, and peek time at every step;
+* runqueue/scan parity — the heap runqueue must reproduce the sorted
+  map's pick order op for op, and the numpy balance-scan kernels must
+  pick the same CPUs as the scalar loops, ties included;
 * kernel trace parity — the same scenario run under ``pure`` and
   ``fast`` must produce byte-identical trace streams.
 """
 
 from __future__ import annotations
+
+import bisect
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -29,21 +32,24 @@ from repro.fastpath import (
     backend_info,
     current_backend,
     engine_class,
+    fastcore_available,
     make_engine,
     make_runqueue,
     set_backend,
 )
-from repro.fastpath import soa
+from repro.fastpath import build, soa
 from repro.fastpath.parity import (
     engine_backends,
     engine_parity,
     kernel_trace_parity,
+    replay_engine_ops,
 )
 from repro.fastpath.runqueue import FastCfsRunqueue
 from repro.kernel.kernel import Kernel
 from repro.kernel.runqueue import CfsRunqueue
 from repro.kernel.task import Task, TaskState
 from repro.prog.actions import Compute, SleepNs, Yield
+from repro.sim.engine import Engine
 
 MS = 1_000_000
 US = 1_000
@@ -65,6 +71,50 @@ _op = st.one_of(
 )
 
 
+class _ListEngine:
+    """Brute-force reference engine: one list kept sorted by
+    ``(time, seq)``; a cancel removes its entry outright."""
+
+    def __init__(self):
+        self.now = self.events_run = self._seq = 0
+        self._q: list[tuple] = []
+
+    @property
+    def pending(self) -> int:
+        return len(self._q)
+
+    def peek_time(self):
+        return self._q[0][0] if self._q else None
+
+    def schedule(self, delay, fn, *args):
+        self._seq += 1
+        entry = (self.now + delay, self._seq, fn, args)
+        q = self._q
+        bisect.insort(q, entry)
+        return SimpleNamespace(cancel=lambda: entry in q and q.remove(entry))
+
+    def step(self) -> bool:
+        if not self._q:
+            return False
+        self.now, _seq, fn, args = self._q.pop(0)
+        self.events_run += 1
+        fn(*args)
+        return True
+
+    def run(self, until=None):
+        while self._q and (until is None or self._q[0][0] <= until):
+            self.step()
+        if until is not None and until > self.now:
+            self.now = until
+
+
+def _all_engines(ops) -> dict:
+    """Every engine implementation plus the brute-force reference."""
+    results = engine_parity(ops)
+    results["list"] = replay_engine_ops(_ListEngine(), ops)
+    return results
+
+
 def _assert_same(results: dict) -> None:
     names = list(results)
     ref = results[names[0]]
@@ -77,7 +127,7 @@ def _assert_same(results: dict) -> None:
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_op, min_size=1, max_size=60))
 def test_engine_parity_randomized_scripts(ops):
-    _assert_same(engine_parity(ops))
+    _assert_same(_all_engines(ops))
 
 
 def test_engine_parity_cancel_heavy():
@@ -89,12 +139,18 @@ def test_engine_parity_cancel_heavy():
     for i in range(280):
         ops.append(("cancel", i))
     ops.append(("run_until", 1_000))
-    _assert_same(engine_parity(ops))
+    _assert_same(_all_engines(ops))
+    # Two of every three cancelled, and the 100 survivors share 30
+    # deadlines with distinct tags, so the tie order is compared too.
+    ops = [("schedule", (i * 37) % 90, i) for i in range(300)]
+    ops += [("cancel", i) for i in range(300) if i % 3]
+    ops.append(("run_until", 1_000))
+    _assert_same(_all_engines(ops))
 
 
 def test_engine_backends_present():
     names = [n for n, _f in engine_backends()]
-    assert names[0] == "pure" and "slab" in names
+    assert names == (["pure", "fastcore"] if fastcore_available() else ["pure"])
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +166,7 @@ def test_engine_compacts_under_cancel_storm(name, factory):
     assert e.pending == 8
     # Compaction must have dropped the dead entries instead of letting
     # the queue hold 4088 tombstones until t=1000.
-    if hasattr(e, "queue_len"):
-        assert e.queue_len() <= 2 * e.pending + 64
-    else:
-        assert sum(len(b) for b in e._buckets.values()) <= 2 * e.pending + 64
+    assert e.queue_len() <= 2 * e.pending + 64
     fired = []
     e.on_event = lambda: fired.append(e.now)
     e.run()
@@ -121,7 +174,7 @@ def test_engine_compacts_under_cancel_storm(name, factory):
 
 
 # ---------------------------------------------------------------------------
-# Runqueue parity (heap + tombstones vs red-black tree)
+# Runqueue parity (heap + tombstones vs sorted map)
 # ---------------------------------------------------------------------------
 
 def _dummy_program():
@@ -231,7 +284,7 @@ _max_vr_op = st.one_of(
 @given(ops=st.lists(_max_vr_op, min_size=1, max_size=60))
 def test_max_runnable_vruntime_parity(policy_keyed, ops):
     """BWD's skip-flag placement reads the largest queued runnable
-    vruntime: the rbtree's max-below-sentinel descent (or its scan under
+    vruntime: the sorted map's max-below-sentinel search (or its scan under
     a policy key_fn) and the heap's scan agree with a brute-force
     answer while VB-sentinel entries are queued."""
     pure_rq, fast_rq = CfsRunqueue(0), FastCfsRunqueue(0)
@@ -413,6 +466,11 @@ def test_kernel_results_identical_across_backends():
 # Backend selection plumbing
 # ---------------------------------------------------------------------------
 
+def _fast_engine_class():
+    core = build.load_fastcore()
+    return Engine if core is None else core.FastEngine
+
+
 def test_backend_selection_roundtrip():
     prev = current_backend()
     try:
@@ -420,7 +478,7 @@ def test_backend_selection_roundtrip():
         assert current_backend() == "fast"
         info = backend_info()
         assert info["backend"] == "fast" and "fastcore" in info
-        assert engine_class().__name__ in ("FastEngine", "SlabEngine")
+        assert engine_class() is _fast_engine_class()
         assert isinstance(make_runqueue(0), FastCfsRunqueue)
         set_backend("pure")
         assert backend_info() == {"backend": "pure"}
@@ -439,7 +497,24 @@ def test_kernel_uses_backend_engine_and_runqueue():
     try:
         set_backend("fast")
         k = Kernel(vanilla_config(cores=2, seed=1))
-        assert type(k.engine).__name__ in ("FastEngine", "SlabEngine")
+        assert type(k.engine) is _fast_engine_class()
+        assert isinstance(k.cpus[0].rq, FastCfsRunqueue)
+        k.shutdown()
+    finally:
+        set_backend(prev)
+
+
+def test_fast_backend_without_c_core_falls_back_to_engine(monkeypatch):
+    monkeypatch.setattr(build, "load_fastcore", lambda: None)
+    prev = current_backend()
+    try:
+        set_backend("fast")
+        with pytest.warns(RuntimeWarning, match="repro.sim.engine.Engine"):
+            assert engine_class() is Engine
+        assert backend_info() == {"backend": "fast", "fastcore": False}
+        with pytest.warns(RuntimeWarning):
+            k = Kernel(vanilla_config(cores=2, seed=1))
+        assert type(k.engine) is Engine
         assert isinstance(k.cpus[0].rq, FastCfsRunqueue)
         k.shutdown()
     finally:

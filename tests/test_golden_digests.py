@@ -5,8 +5,8 @@ entries (id + result, in spec order) for quick-mode report sections, as
 produced by the *pre-optimization* simulator core.  They pin down two
 guarantees at once:
 
-* the hot-path overhaul (bucketed timer wheel, leftmost-cached runqueue,
-  dispatch tables) is **bit-identical** to the original implementation
+* the hot-path containers (the event heap, the sorted-map runqueue,
+  dispatch tables) are **bit-identical** to the original implementation
   for a fixed seed, and
 * results are byte-identical across ``--jobs`` values — serial inline
   execution and the process pool must produce the same artifact.

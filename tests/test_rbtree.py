@@ -1,4 +1,4 @@
-"""Red-black tree: unit tests plus hypothesis property tests."""
+"""The runqueue's ordered map: unit tests plus hypothesis property tests."""
 
 from __future__ import annotations
 
@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.rbtree import RedBlackTree
+from repro.util.sortedmap import SortedMap
 
 
 def test_empty_tree():
-    t = RedBlackTree()
+    t = SortedMap()
     assert len(t) == 0
     assert not t
     assert 1 not in t
@@ -23,7 +23,7 @@ def test_empty_tree():
 
 
 def test_insert_and_lookup():
-    t = RedBlackTree()
+    t = SortedMap()
     t.insert(5, "five")
     t.insert(3, "three")
     t.insert(8, "eight")
@@ -34,14 +34,14 @@ def test_insert_and_lookup():
 
 
 def test_duplicate_key_rejected():
-    t = RedBlackTree()
+    t = SortedMap()
     t.insert(1, "a")
     with pytest.raises(KeyError):
         t.insert(1, "b")
 
 
 def test_min_max_items():
-    t = RedBlackTree()
+    t = SortedMap()
     for k in [5, 1, 9, 3, 7]:
         t.insert(k, str(k))
     assert t.min_item() == (1, "1")
@@ -49,7 +49,7 @@ def test_min_max_items():
 
 
 def test_inorder_iteration_sorted():
-    t = RedBlackTree()
+    t = SortedMap()
     keys = [13, 8, 17, 1, 11, 15, 25, 6, 22, 27]
     for k in keys:
         t.insert(k, k * 10)
@@ -58,7 +58,7 @@ def test_inorder_iteration_sorted():
 
 
 def test_pop_min_drains_in_order():
-    t = RedBlackTree()
+    t = SortedMap()
     for k in [4, 2, 9, 1, 7]:
         t.insert(k, None)
     popped = [t.pop_min()[0] for _ in range(len(t))]
@@ -67,7 +67,7 @@ def test_pop_min_drains_in_order():
 
 
 def test_remove_returns_value():
-    t = RedBlackTree()
+    t = SortedMap()
     t.insert(1, "one")
     t.insert(2, "two")
     assert t.remove(1) == "one"
@@ -76,7 +76,7 @@ def test_remove_returns_value():
 
 
 def test_remove_interior_node():
-    t = RedBlackTree()
+    t = SortedMap()
     for k in range(20):
         t.insert(k, k)
     t.remove(10)  # likely an interior node
@@ -86,7 +86,7 @@ def test_remove_interior_node():
 
 def test_tuple_keys():
     """The runqueue uses (vruntime, seq) tuples as keys."""
-    t = RedBlackTree()
+    t = SortedMap()
     t.insert((100, 1), "a")
     t.insert((100, 2), "b")
     t.insert((50, 3), "c")
@@ -96,7 +96,7 @@ def test_tuple_keys():
 
 
 def test_validate_on_sequential_inserts():
-    t = RedBlackTree()
+    t = SortedMap()
     for k in range(256):
         t.insert(k, k)
         t.validate()
@@ -108,7 +108,7 @@ def test_validate_on_sequential_inserts():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(min_value=-(10**6), max_value=10**6), unique=True))
 def test_property_insert_iteration_sorted(keys):
-    t = RedBlackTree()
+    t = SortedMap()
     for k in keys:
         t.insert(k, k)
     assert list(t.keys()) == sorted(keys)
@@ -121,7 +121,7 @@ def test_property_insert_iteration_sorted(keys):
     st.data(),
 )
 def test_property_mixed_insert_remove(keys, data):
-    t = RedBlackTree()
+    t = SortedMap()
     for k in keys:
         t.insert(k, k)
     to_remove = data.draw(
@@ -138,7 +138,7 @@ def test_property_mixed_insert_remove(keys, data):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=10**4), unique=True, min_size=1))
 def test_property_pop_min_is_sorted_drain(keys):
-    t = RedBlackTree()
+    t = SortedMap()
     for k in keys:
         t.insert(k, None)
     drained = [t.pop_min()[0] for _ in range(len(keys))]
@@ -146,7 +146,7 @@ def test_property_pop_min_is_sorted_drain(keys):
 
 
 def test_min_value_matches_min_item():
-    t = RedBlackTree()
+    t = SortedMap()
     for k in (5, 3, 9, 1, 7):
         t.insert(k, f"v{k}")
     assert t.min_item() == (1, "v1")
@@ -156,7 +156,7 @@ def test_min_value_matches_min_item():
 
 
 def test_leftmost_cache_tracks_insert_remove_popmin():
-    t = RedBlackTree()
+    t = SortedMap()
     t.insert(10, None)
     t.validate()
     t.insert(5, None)  # new leftmost
@@ -180,9 +180,9 @@ def test_leftmost_cache_tracks_insert_remove_popmin():
     st.data(),
 )
 def test_property_leftmost_cache_under_churn(keys, data):
-    """min_item must stay O(1)-correct through arbitrary insert/remove/
-    pop_min interleavings (validate() checks the cache every step)."""
-    t = RedBlackTree()
+    """min_item must stay correct through arbitrary insert/remove/
+    pop_min interleavings (validate() checks the order every step)."""
+    t = SortedMap()
     alive: list[int] = []
     for k in keys:
         t.insert(k, k)
@@ -217,7 +217,7 @@ def test_property_max_item_below_under_churn(keys, data):
     """max_item_below agrees with a sorted-list scan through arbitrary
     insert/remove interleavings, for bounds on, between and beyond the
     live keys."""
-    t = RedBlackTree()
+    t = SortedMap()
     alive: list[int] = []
     spare = [k + 10**4 + 1 for k in keys]
 
