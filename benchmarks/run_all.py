@@ -8,10 +8,13 @@ Usage::
                                  [--results FILE] [--seed N]
                                  [--strict] [--validate]
 
-Every data point (app x thread-count x kernel-mode x core-count) is an
-independent deterministic simulation, so the report fans them out across a
-process pool (``--jobs``, default ``os.cpu_count()``) and caches each
-result under ``.repro-cache/`` keyed on (config, seed, repro version).
+Every data point (app x thread-count x kernel-mode x core-count) is a
+deterministic simulation.  Data points that repeat another's experiment
+(the same runner, params and seed, such as Figure 1's vanilla runs reused
+as Figure 9's baselines) are simulated once per run and share the result.
+The report fans the distinct experiments out across a process pool
+(``--jobs``, default ``os.cpu_count()``) and caches each result under
+``.repro-cache/`` keyed on (config, seed, repro version).
 Output is byte-identical for a fixed seed regardless of ``--jobs`` or
 cache state; a warm-cache re-run executes zero simulations.
 

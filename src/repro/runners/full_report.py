@@ -1187,7 +1187,8 @@ def run_full_report(
         line = (
             f"[{phase}{st.completed}/{st.total}] {st.elapsed_s:.1f}s "
             f"elapsed, {st.rate:.1f} spec/s, "
-            f"{st.cache_hits} cache hits, {st.executed} simulated"
+            f"{st.cache_hits} cache hits, {st.executed} simulated, "
+            f"{st.shared} shared"
         )
         if is_tty:
             print("\r" + line.ljust(78), end="", file=progress_out, flush=True)
@@ -1223,7 +1224,8 @@ def run_full_report(
         section.render(params, res, out)
 
     print(f"\nspecs: {st.total} total, {st.executed} simulated, "
-          f"{st.cache_hits} cache hits, {st.retried} retried, "
+          f"{st.shared} shared, {st.cache_hits} cache hits, "
+          f"{st.retried} retried, "
           f"{st.failed} failed, {st.quarantined} cache entries quarantined",
           file=out)
     if st.failures:
@@ -1243,6 +1245,7 @@ def run_full_report(
         "jobs": runner.jobs,
         "elapsed_s": time.time() - t0,
         "cache": {"hits": st.cache_hits, "simulated": st.executed,
+                  "shared": st.shared,
                   "retried": st.retried, "failed": st.failed,
                   "quarantined": st.quarantined},
         "failures": st.failures,

@@ -12,12 +12,17 @@ run), so the full report is embarrassingly parallel.  This module provides:
   :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs`` workers,
   default ``os.cpu_count()``) with a per-spec timeout enforced inside the
   worker and one retry on worker crash, merges results deterministically in
-  spec order, and caches each spec's result as JSON under ``.repro-cache/``
-  keyed on a SHA-256 of (canonical params, seed, repro ``__version__``).
-  Dispatch is longest-first (LPT): each cache entry records the spec's
-  measured wall time, and later runs submit the slowest specs first so the
-  one long simulation (memcached) doesn't start last and stretch the tail;
-  cold specs are ordered by a per-runner size heuristic.
+  spec order, and caches each experiment's result as JSON under
+  ``.repro-cache/`` keyed on a SHA-256 of (canonical params, seed, repro
+  ``__version__``).
+  Specs that name the same experiment (runner, canonical params, seed —
+  the content the cache key hashes; the spec id is only a label) are
+  simulated once per run, and every other spec of the group gets a copy
+  of that result.  Dispatch is longest-first (LPT): each cache entry
+  records the experiment's measured wall time, and later runs submit the
+  slowest experiments first so the one long simulation (memcached) doesn't
+  start last and stretch the tail; cold specs are ordered by a per-runner
+  size heuristic.
 
 Because every simulation is bit-reproducible for a fixed seed, a result is
 the same whether it was computed serially, in a worker process, or loaded
@@ -27,6 +32,7 @@ and across warm-cache re-runs.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -687,6 +693,7 @@ class RunnerStats:
     completed: int = 0
     cache_hits: int = 0
     executed: int = 0
+    shared: int = 0  # specs given a copy of an identical spec's result
     retried: int = 0
     failed: int = 0  # specs abandoned after retries (keep-going mode)
     quarantined: int = 0  # corrupt cache entries moved aside
@@ -763,6 +770,14 @@ class ParallelRunner:
                 "capacity": self.trace_capacity,
                 "metrics_dir": self.metrics_dir}
 
+    @property
+    def _per_id_artifacts(self) -> bool:
+        """Whether every spec id ships its own trace or telemetry files.
+        Then no spec may take its result from another one (a cache entry
+        or an identical spec): each re-simulates, and the results are
+        bit-identical anyway."""
+        return self.trace_dir is not None or self.metrics_dir is not None
+
     # -- cache ---------------------------------------------------------
     def _cache_path(self, spec: ExperimentSpec) -> str:
         assert self.cache_dir is not None
@@ -782,12 +797,7 @@ class ParallelRunner:
             pass  # racing runner already moved it; either way it is gone
 
     def cache_load(self, spec: ExperimentSpec) -> Any | None:
-        if not self.use_cache:
-            return None
-        if self.trace_dir is not None or self.metrics_dir is not None:
-            # A cache hit has no trace or telemetry to ship: re-simulate
-            # (results are bit-identical anyway) so every spec gets its
-            # artifacts and the bytes match the cold-cache run.
+        if not self.use_cache or self._per_id_artifacts:
             return None
         path = self._cache_path(spec)
         try:
@@ -808,8 +818,17 @@ class ParallelRunner:
                 path, f"schema {entry.get('schema')!r} != {CACHE_SCHEMA}"
             )
             return None
-        if entry.get("runner") != spec.runner or entry.get("seed") != spec.seed:
-            # A hash collision or a file copied to the wrong key.
+        # The entry's params are encoded without allow_nan=False, so a
+        # hand-edited NaN is a mismatch rather than a crash.
+        params = json.dumps(entry.get("params"), sort_keys=True,
+                            separators=(",", ":"))
+        if (entry.get("runner") != spec.runner
+                or entry.get("seed") != spec.seed
+                or entry.get("version") != self.version
+                or params != canonical_json(spec.params)):
+            # Another experiment's entry: a hash collision or a file
+            # copied to the wrong key.  One entry serves every spec of a
+            # shared experiment, so it must match exactly.
             self._quarantine(path, "entry does not match its spec")
             return None
         if "result" not in entry:
@@ -857,42 +876,59 @@ class ParallelRunner:
         deterministic schedule keeps run logs comparable."""
         return min(self.backoff_base_s * (2.0 ** (attempt - 1)), 8.0)
 
-    def _note_failure(self, spec: ExperimentSpec,
-                      exc: BaseException) -> None:
-        """Record a spec abandoned after retries (keep-going mode)."""
-        self.stats.failed += 1
-        self.stats.failures[spec.id] = {
-            "kind": classify_failure(exc),
-            "error": repr(exc),
-        }
+    def _complete(self, spec: ExperimentSpec) -> None:
+        self.stats.completed += 1
         self.stats.phase = spec.id.split("/", 1)[0]
         self._tick()
+
+    def _note_failure(self, specs: list[ExperimentSpec], group: list[int],
+                      exc: BaseException) -> None:
+        """Record an experiment abandoned after retries (keep-going mode):
+        every spec of its group fails with the same kind and error."""
+        failure = {"kind": classify_failure(exc), "error": repr(exc)}
+        for i in group:
+            self.stats.failed += 1
+            self.stats.failures[specs[i].id] = dict(failure)
+            self.stats.phase = specs[i].id.split("/", 1)[0]
+            self._tick()
 
     def run(self, specs: list[ExperimentSpec]) -> list[Any]:
         """Execute all specs; returns their results in spec order."""
         self.stats = RunnerStats(total=len(specs), started_at=time.monotonic())
         results: list[Any] = [None] * len(specs)
-        done = [False] * len(specs)
-
+        pending = []
         for i, spec in enumerate(specs):
             cached = self.cache_load(spec)
-            if cached is not None:
-                results[i] = cached
-                done[i] = True
-                self.stats.cache_hits += 1
-                self.stats.completed += 1
-                self.stats.phase = spec.id.split("/", 1)[0]
-                self._tick()
+            if cached is None:
+                pending.append(i)
+                continue
+            results[i] = cached
+            self.stats.cache_hits += 1
+            self._complete(spec)
 
-        pending = [i for i in range(len(specs)) if not done[i]]
-        if pending:
-            pending = self._dispatch_order(specs, pending)
+        groups = self._group(specs, pending)
+        if groups:
+            order = self._dispatch_order(specs, list(groups))
             if self.jobs == 1:
-                self._run_inline(specs, results, pending)
+                self._run_inline(specs, results, order, groups)
             else:
-                self._run_pool(specs, results, pending)
+                self._run_pool(specs, results, order, groups)
         self._tick()
         return results
+
+    def _group(self, specs: list[ExperimentSpec],
+               pending: list[int]) -> dict[int, list[int]]:
+        """Group pending specs by experiment identity: the runner, the
+        canonical params and the seed, which is what the cache key hashes
+        (the id is a label).  Returns representative index -> the group's
+        indices in spec order, the representative (the first) leading.
+        With per-id artifacts every spec is a group of its own."""
+        if self._per_id_artifacts:
+            return {i: [i] for i in pending}
+        by_key: dict[str, list[int]] = {}
+        for i in pending:
+            by_key.setdefault(cache_key(specs[i], self.version), []).append(i)
+        return {group[0]: group for group in by_key.values()}
 
     def _recorded_wall_s(self, spec: ExperimentSpec) -> float | None:
         """Wall time of a previous execution, if a cache entry recorded
@@ -910,11 +946,12 @@ class ParallelRunner:
 
     def _dispatch_order(self, specs: list[ExperimentSpec],
                         pending: list[int]) -> list[int]:
-        """Order pending specs longest-first so a long spec never starts
-        last and stretches the tail (classic LPT scheduling).  Prior
-        recorded durations win; cold specs fall back to the per-runner
-        size heuristic.  Ties break on spec index, so the order — and with
-        it the cache/results state — is deterministic."""
+        """Order the distinct experiments' representatives longest-first
+        so a long simulation never starts last and stretches the tail
+        (classic LPT scheduling).  Prior recorded durations win; cold
+        specs fall back to the per-runner size heuristic.  Ties break on
+        spec index, so the order — and with it the cache/results state —
+        is deterministic."""
         keyed = []
         for i in pending:
             wall = self._recorded_wall_s(specs[i])
@@ -923,17 +960,25 @@ class ParallelRunner:
         keyed.sort()
         return [i for _, i in keyed]
 
-    def _record(self, spec: ExperimentSpec, results: list, i: int,
-                value: Any, wall_s: float | None = None) -> None:
-        results[i] = value
-        self.cache_store(spec, value, wall_s)
+    def _record(self, specs: list[ExperimentSpec], results: list,
+                group: list[int], value: Any,
+                wall_s: float | None = None) -> None:
+        """Store a simulated result for its whole group.  The cache entry
+        is keyed by the experiment, so the representative's serves every
+        member; each member gets its own copy of the result, so mutating
+        one slot cannot change another."""
+        rep, *members = group
+        results[rep] = value
+        self.cache_store(specs[rep], value, wall_s)
         self.stats.executed += 1
-        self.stats.completed += 1
-        self.stats.phase = spec.id.split("/", 1)[0]
-        self._tick()
+        self._complete(specs[rep])
+        for i in members:
+            results[i] = copy.deepcopy(value)
+            self.stats.shared += 1
+            self._complete(specs[i])
 
-    def _run_inline(self, specs, results, pending) -> None:
-        for i in pending:
+    def _run_inline(self, specs, results, order, groups) -> None:
+        for i in order:
             last_exc: BaseException | None = None
             for attempt in range(self.retries + 1):
                 if attempt:
@@ -946,7 +991,7 @@ class ParallelRunner:
                 except Exception as exc:
                     last_exc = exc
                     continue
-                self._record(specs[i], results, i, value, wall_s)
+                self._record(specs, results, groups[i], value, wall_s)
                 last_exc = None
                 break
             if last_exc is not None:
@@ -955,10 +1000,10 @@ class ParallelRunner:
                         f"spec {specs[i].id} failed after "
                         f"{self.retries + 1} attempts: {last_exc!r}"
                     ) from last_exc
-                self._note_failure(specs[i], last_exc)
+                self._note_failure(specs, groups[i], last_exc)
 
-    def _run_pool(self, specs, results, pending) -> None:
-        todo = list(pending)
+    def _run_pool(self, specs, results, order, groups) -> None:
+        todo = list(order)
         failures: dict[int, BaseException] = {}
         for attempt in range(self.retries + 1):
             if not todo:
@@ -987,7 +1032,7 @@ class ParallelRunner:
                         failures[i] = exc
                         continue
                     failures.pop(i, None)
-                    self._record(specs[i], results, i, value, wall_s)
+                    self._record(specs, results, groups[i], value, wall_s)
             todo = sorted(failed)
         if todo:
             if self.strict:
@@ -999,4 +1044,4 @@ class ParallelRunner:
                     f"attempts: {detail}"
                 )
             for i in todo:
-                self._note_failure(specs[i], failures[i])
+                self._note_failure(specs, groups[i], failures[i])

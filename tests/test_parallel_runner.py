@@ -3,9 +3,12 @@ handling, and the full-report flag resolution."""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import io
 import json
 import os
+import shutil
 import time
 
 import pytest
@@ -25,6 +28,7 @@ from repro.runners.parallel import (
     ParallelRunner,
     cache_key,
     classify_failure,
+    execute_spec_timed,
     vanilla_desc,
 )
 
@@ -181,6 +185,34 @@ def test_cache_wrong_spec_entry_is_quarantined(tmp_path):
     assert r.stats.quarantined == 1 and r.stats.executed == 1
 
 
+@pytest.mark.parametrize("differs", ["params", "version"])
+def test_cache_entry_of_another_experiment_is_quarantined(tmp_path, differs):
+    """An intact entry copied to another experiment's key path, with the
+    same runner and seed, must not serve that experiment: an 8-thread
+    result must not answer for 32 threads, nor an old version's result
+    for a new version."""
+    def spec(nthreads):
+        return ExperimentSpec(
+            id=f"is/{nthreads}T", runner="suite_point",
+            params={"name": "is", "nthreads": nthreads,
+                    "config": vanilla_desc(8, 1), "work_scale": 0.05},
+            seed=1)
+
+    src = spec(8)
+    dst, version = (spec(32), "1.0.0") if differs == "params" else (src, "1.0.1")
+    (res8,) = ParallelRunner(jobs=1, cache_dir=tmp_path,
+                             version="1.0.0").run([src])
+    name = cache_key(dst, version) + ".json"
+    shutil.copy(tmp_path / (cache_key(src, "1.0.0") + ".json"), tmp_path / name)
+    r = ParallelRunner(jobs=1, cache_dir=tmp_path, version=version)
+    (res,) = r.run([dst])
+    assert r.stats.quarantined == 1 and r.stats.cache_hits == 0
+    assert r.stats.executed == 1
+    assert (tmp_path / QUARANTINE_DIR / name).exists()
+    if differs == "params":
+        assert res["duration_ns"] != res8["duration_ns"]
+
+
 def test_cache_entries_written_atomically_with_integrity_fields(tmp_path):
     from repro.runners.parallel import CACHE_SCHEMA, _entry_checksum
 
@@ -208,6 +240,95 @@ def test_cache_key_is_stable_and_param_order_independent():
                        params={"nthreads": 8, "name": "is"}, seed=1)
     assert cache_key(a) == cache_key(b)  # id is a label, not part of the key
     assert len(cache_key(a)) == 64
+
+
+# ---------------------------------------------------------------------
+# shared experiments: specs with the same runner, params and seed
+# ---------------------------------------------------------------------
+def _logged_execute(log_path, payload, *args, **kwargs):
+    """``execute_spec_timed`` that first appends the spec id to a file, so
+    executions count in pool workers too (bound with functools.partial,
+    which pickles)."""
+    with open(log_path, "a", encoding="utf-8") as f:
+        f.write(payload["id"] + "\n")
+    return execute_spec_timed(payload, *args, **kwargs)
+
+
+def _count_executions(monkeypatch, tmp_path):
+    """Route the runner through :func:`_logged_execute`; returns a
+    function that reads back the ids executed so far."""
+    from repro.runners import parallel
+
+    log = tmp_path / "executed.log"
+    monkeypatch.setattr(parallel, "execute_spec_timed",
+                        functools.partial(_logged_execute, str(log)))
+    return lambda: log.read_text(encoding="utf-8").split() if log.exists() else []
+
+
+def _twin_specs():
+    """Two ids for one experiment, the params given in another key order."""
+    (spec,) = fig1_subset_specs()[:1]
+    twin = ExperimentSpec(id="fig09/is/8T", runner=spec.runner,
+                          params=dict(reversed(list(spec.params.items()))),
+                          seed=spec.seed)
+    assert list(twin.params) != list(spec.params)
+    return [spec, twin]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_identical_specs_simulate_once(monkeypatch, tmp_path, jobs):
+    executed = _count_executions(monkeypatch, tmp_path)
+    specs = [*_twin_specs(), fig1_subset_specs()[1]]
+    r = ParallelRunner(jobs=jobs, use_cache=False)
+    results = r.run(specs)
+    assert sorted(executed()) == sorted([specs[0].id, specs[2].id])
+    assert r.stats.executed == 2 and r.stats.shared == 1
+    assert r.stats.completed == 3 and r.stats.cache_hits == 0
+    assert results[0] == results[1] != results[2]
+    # The copy is what the twin's own simulation gives.
+    assert results[1] == ParallelRunner(jobs=1, use_cache=False).run(
+        specs[1:2])[0]
+
+
+def test_shared_results_are_independent_objects():
+    first, second = ParallelRunner(jobs=1, use_cache=False).run(_twin_specs())
+    assert first == second and first is not second
+    snapshot = json.dumps(second, sort_keys=True)
+    first["stats"]["extra"].clear()
+    first["duration_ns"] += 1
+    assert json.dumps(second, sort_keys=True) == snapshot
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_shared_failure_fails_every_member(monkeypatch, tmp_path, jobs):
+    executed = _count_executions(monkeypatch, tmp_path)
+    specs = [_bad_spec("bad-a"), _bad_spec("bad-b")]
+    r = ParallelRunner(jobs=jobs, use_cache=False, retries=1, strict=False,
+                       backoff_base_s=0.0)
+    assert r.run(specs) == [None, None]
+    # One experiment, tried twice; the member is not retried on its own.
+    assert executed() == ["bad-a", "bad-a"] and r.stats.retried == 1
+    assert r.stats.failed == 2 and r.stats.completed == 0
+    assert r.stats.failures["bad-a"] == r.stats.failures["bad-b"]
+    assert r.stats.failures["bad-b"]["kind"] == "exception"
+    strict = ParallelRunner(jobs=jobs, use_cache=False, retries=0)
+    with pytest.raises(ExperimentError, match="bad-a"):
+        strict.run(specs)
+
+
+def test_shared_experiments_cache_one_entry_each(tmp_path):
+    specs = [*_twin_specs(), *fig1_subset_specs()[1:3]]
+    distinct = {cache_key(s) for s in specs}
+    assert len(distinct) == len(specs) - 1
+    cold = ParallelRunner(jobs=2, cache_dir=tmp_path)
+    res_cold = cold.run(specs)
+    assert cold.stats.executed == len(distinct) and cold.stats.shared == 1
+    entries = sorted(p for p in os.listdir(tmp_path) if p.endswith(".json"))
+    assert entries == sorted(k + ".json" for k in distinct)
+    warm = ParallelRunner(jobs=2, cache_dir=tmp_path)
+    assert warm.run(specs) == res_cold
+    assert warm.stats.cache_hits == len(specs)
+    assert warm.stats.executed == 0 and warm.stats.shared == 0
 
 
 # ---------------------------------------------------------------------
@@ -353,17 +474,20 @@ def test_soft_deadline_cleared_after_spec(monkeypatch):
 # full-report decomposition and flag resolution
 # ---------------------------------------------------------------------
 def test_full_report_spec_ids_unique_and_runners_registered():
-    params = ReportParams(scale=0.3, quick=True)
-    sections = build_all_specs(params)
-    specs = [s for _, sec in sections for s in sec]
-    ids = [s.id for s in specs]
-    assert len(ids) == len(set(ids))
-    assert len(specs) > 400  # every figure/table data point is one spec
-    assert {s.runner for s in specs} <= set(RUNNERS)
-    assert all(s.seed == 2021 for s in specs)
-    # params must be JSON-serializable (cache key + worker payload)
-    for s in specs:
-        json.dumps(s.params)
+    # Results, failures and shared experiments are all keyed by spec id,
+    # so ids must be unique at every scale.
+    for params in (ReportParams(scale=0.3, quick=True),
+                   ReportParams(scale=1.0, quick=False)):
+        sections = build_all_specs(params)
+        specs = [s for _, sec in sections for s in sec]
+        ids = [s.id for s in specs]
+        assert len(ids) == len(set(ids))
+        assert len(specs) > 400  # every figure/table data point is one spec
+        assert {s.runner for s in specs} <= set(RUNNERS)
+        assert all(s.seed == 2021 for s in specs)
+        # params must be JSON-serializable (cache key + worker payload)
+        for s in specs:
+            json.dumps(s.params)
 
 
 def test_resolve_scale_quick_is_only_a_default():
@@ -420,7 +544,10 @@ def _trace_bytes(trace_dir, specs):
 
 
 def test_traces_byte_identical_across_jobs_and_cache(tmp_path):
+    # The last spec repeats the first's experiment under another id: with
+    # a trace dir it still simulates and ships its own trace.
     specs = fig1_subset_specs()[:2]
+    specs.append(dataclasses.replace(specs[0], id="fig09/is/8T"))
     cache = tmp_path / "cache"
 
     d1 = tmp_path / "t-serial"
