@@ -16,9 +16,7 @@ produces in practice:
 
 The headline metric is ``events_per_s`` (events actually fired per wall
 second, best of three rounds).  This is the number the CI perf-smoke job
-gates on.  The engine class honors the process backend
-(``repro.fastpath``): run with ``--backend fast`` / ``REPRO_BACKEND=fast``
-to measure the accelerated core.
+gates on.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from common import bootstrap, repeat_best
 
 bootstrap()
 
-from repro.fastpath import make_engine  # noqa: E402
+from repro.sim.engine import Engine  # noqa: E402
 
 _CHAINS = 8  # concurrent tick chains, like 8 CPUs
 _PERIODS = (100, 100, 100, 250, 250, 500, 700, 1000)  # deliberate collisions
@@ -41,7 +39,7 @@ def _never() -> None:  # a decoy timer body that must not run
 
 def _drive_cancel_heavy(n_events: int) -> tuple[int, int]:
     """Tick chains shadowed by a rolling window of cancelled timers."""
-    e = make_engine()
+    e = Engine()
     decoys: deque = deque()
     peak = 0
 
@@ -68,7 +66,7 @@ def _drive_cancel_heavy(n_events: int) -> tuple[int, int]:
 
 
 def _drive(n_events: int) -> int:
-    e = make_engine()
+    e = Engine()
 
     def tick(chain: int) -> None:
         # Reschedule self; every 16th firing also cancels and re-issues

@@ -7,10 +7,7 @@ oversubscribed CPU (32 tasks, a third of them VB-blocked):
 * ``nr_schedulable`` (called per slice calculation — O(1) counter),
 * ``update_min_vruntime`` (called per dispatch/park — O(1) leftmost).
 
-Metric: ``ops_per_s`` of a combined cycle, best of three rounds.  The
-runqueue class honors the process backend (``repro.fastpath``): run with
-``--backend fast`` / ``REPRO_BACKEND=fast`` to measure the accelerated
-heap-based queue.
+Metric: ``ops_per_s`` of a combined cycle, best of three rounds.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from common import bootstrap, repeat_best
 
 bootstrap()
 
-from repro.fastpath import make_runqueue  # noqa: E402
+from repro.kernel.runqueue import CfsRunqueue  # noqa: E402
 from repro.kernel.task import Task, TaskState  # noqa: E402
 
 _QUEUED = 32
@@ -39,7 +36,7 @@ def _make_tasks():
 
 def _cycle(n_ops: int) -> int:
     tasks = _make_tasks()
-    rq = make_runqueue(0)
+    rq = CfsRunqueue(0)
     for t in tasks:
         rq.enqueue(t)
     done = 0

@@ -16,14 +16,8 @@ at the repo root:
 * any end-to-end determinism digest differs — a hard failure at any
   tolerance, because results must be bit-identical for a fixed seed.
 
-Both checks are like-for-like per backend: the baseline holds one
-section per hot core under ``"backends"`` and a ``--backend fast`` run
-is only ever compared against the ``fast`` section (and vice versa), so
-the accelerated core cannot mask a pure-path regression or be gated
-against the slower reference numbers.
-
-To refresh the current backend's baseline after an intentional change:
-``python benchmarks/perf/run.py --quick [--backend fast] --write-baseline``.
+To refresh the baseline after an intentional change:
+``python benchmarks/perf/run.py --quick --write-baseline``.
 """
 
 from __future__ import annotations
@@ -65,7 +59,6 @@ SCHEDSTATS_OVERHEAD_LIMIT_PCT = 5.0
 
 def collect(quick: bool) -> dict:
     from repro import __version__
-    from repro.fastpath import backend_info
 
     results = {}
     for name, mod in _BENCHES.items():
@@ -76,40 +69,17 @@ def collect(quick: bool) -> dict:
         "version": __version__,
         "quick": quick,
         "python": platform.python_version(),
-        "backend": backend_info(),
         "benchmarks": results,
     }
 
 
-def _baseline_section(baseline: dict, backend: str) -> dict | None:
-    """The like-for-like baseline for ``backend``.
-
-    New-format baselines keep one report per hot core under
-    ``"backends"``; a legacy flat baseline (pre-backend) counts as the
-    ``pure`` section so existing checkouts keep gating.
-    """
-    sections = baseline.get("backends")
-    if sections is not None:
-        return sections.get(backend)
-    return baseline if backend == "pure" else None
-
-
 def check_baseline(report: dict, tolerance: float) -> list[str]:
     """Return a list of failure messages (empty = pass)."""
-    from repro.fastpath import current_backend
-
     try:
         with open(BASELINE_PATH, "r", encoding="utf-8") as f:
-            full_baseline = json.load(f)
+            baseline = json.load(f)
     except OSError:
         return [f"no baseline at {BASELINE_PATH}; run with --write-baseline"]
-    backend = current_backend()
-    baseline = _baseline_section(full_baseline, backend)
-    if baseline is None:
-        return [
-            f"no '{backend}' section in {BASELINE_PATH}; run with "
-            f"--backend {backend} --write-baseline"
-        ]
     problems: list[str] = []
 
     base_tp = baseline["benchmarks"]["engine"]["events_per_s"]
@@ -131,17 +101,13 @@ def check_baseline(report: dict, tolerance: float) -> list[str]:
         )
 
     cur_e2e = report["benchmarks"]["endtoend"]
-    # Digests must match the own-backend baseline AND every other
-    # backend's section: bit-identical results are the whole contract.
-    sections = full_baseline.get("backends") or {"pure": baseline}
-    for other_name, other in sections.items():
-        for section, entry in other["benchmarks"]["endtoend"].items():
-            got = cur_e2e.get(section, {}).get("digest")
-            if got != entry["digest"]:
-                problems.append(
-                    f"determinism digest changed for {section} "
-                    f"(vs {other_name} baseline): {got} != {entry['digest']}"
-                )
+    for section, entry in baseline["benchmarks"]["endtoend"].items():
+        got = cur_e2e.get(section, {}).get("digest")
+        if got != entry["digest"]:
+            problems.append(
+                f"determinism digest changed for {section}: "
+                f"{got} != {entry['digest']}"
+            )
     return problems
 
 
@@ -157,11 +123,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="allowed engine-throughput drop (default 0.30)")
     ap.add_argument("--output", default=OUTPUT_PATH,
                     help="where to write the report JSON")
-    from repro.fastpath import add_backend_argument, apply_backend_argument
-
-    add_backend_argument(ap)
     args = ap.parse_args(argv)
-    apply_backend_argument(args)
 
     report = collect(quick=args.quick)
     with open(args.output, "w", encoding="utf-8") as f:
@@ -170,24 +132,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"wrote {args.output}")
 
     if args.write_baseline:
-        from repro.fastpath import current_backend
-
-        try:
-            with open(BASELINE_PATH, "r", encoding="utf-8") as f:
-                baseline = json.load(f)
-        except OSError:
-            baseline = {}
-        if "backends" not in baseline:
-            # Migrate a legacy flat baseline into the pure section.
-            baseline = (
-                {"backends": {"pure": baseline}} if baseline
-                else {"backends": {}}
-            )
-        baseline["backends"][current_backend()] = report
         with open(BASELINE_PATH, "w", encoding="utf-8") as f:
-            json.dump(baseline, f, indent=2, sort_keys=True)
+            json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")
-        print(f"wrote {BASELINE_PATH} ({current_backend()} section)")
+        print(f"wrote {BASELINE_PATH}")
 
     if args.check_baseline:
         problems = check_baseline(report, args.tolerance)

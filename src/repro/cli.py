@@ -841,11 +841,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "exit 1 on drift")
     p.set_defaults(fn=cmd_docs)
 
-    # Every command that builds kernels honors the process-global hot
-    # core selection (repro.fastpath) and the process-global scheduling
-    # policy (repro.kernel.policy).  Parsing-only commands have nothing
-    # to accelerate or schedule, and the chaos parent delegates to its
-    # own subcommands below.
+    # Every command that builds kernels honors the process-global
+    # scheduling policy (repro.kernel.policy) and accepts the deprecated
+    # --backend flag (repro.fastpath).  Parsing-only commands have
+    # nothing to schedule, and the chaos parent delegates to its own
+    # subcommands below.
     from .fastpath import add_backend_argument
     from .kernel.policy import add_policy_argument
 
@@ -870,7 +870,11 @@ def main(argv: list[str] | None = None) -> int:
     from .fastpath import apply_backend_argument
     from .kernel.policy import apply_policy_argument
 
-    apply_backend_argument(args)
+    try:
+        apply_backend_argument(args)
+    except ValueError as exc:  # argparse checked --backend: the env is bad
+        print(f"error: REPRO_BACKEND: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
     apply_policy_argument(args)
     try:
         return args.fn(args)

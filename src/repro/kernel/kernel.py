@@ -34,8 +34,6 @@ from ..config import ExecMode, SimConfig
 from ..core.bwd import BwdMonitor
 from ..core.virtual_blocking import VirtualBlockingPolicy
 from ..errors import DeadlockError, ProgramError, SimulationError
-from ..fastpath import make_engine, make_runqueue
-from ..fastpath import soa as _soa
 from ..hw.memmodel import MemoryModel
 from ..hw.ple import PauseLoopExiting
 from ..hw.topology import Topology
@@ -50,7 +48,7 @@ from .futex import FutexTable
 from .hrtimer import HrTimer
 from .locks import SimLockTimeline
 from .policy import current_policy, get_policy
-from .runqueue import VB_SENTINEL, CfsRunqueue
+from .runqueue import CfsRunqueue
 from .task import ExecProfile, RunMode, Task, TaskState
 
 # Always-on schedstats (PSI counts, runqueue-depth integrals, per-CPU
@@ -89,10 +87,7 @@ class CpuState:
     def __init__(self, cpu_id: int, info) -> None:
         self.id = cpu_id
         self.info = info
-        # Backend-selected runqueue: the reference sorted-map CfsRunqueue
-        # (pure) or the heap-backed FastCfsRunqueue (fast) — identical
-        # pick order either way (see repro.fastpath).
-        self.rq = make_runqueue(cpu_id)
+        self.rq = CfsRunqueue(cpu_id)
         self.rq_lock = SimLockTimeline(f"rq-{cpu_id}")
         self.sib: "CpuState | None" = None  # SMT sibling, wired by Kernel
         self.gen = 0
@@ -124,13 +119,13 @@ class Kernel:
         # Scheduling policy (docs/scheduling.md): SimConfig.policy wins,
         # else the process-global default (--policy / REPRO_POLICY).  The
         # default CFS keeps the kernel's historical inlined decision
-        # paths — bit-identical and KernelCycle-eligible; other policies
-        # route those decisions through the SchedPolicy hooks.
+        # paths (bit-identical); other policies route those decisions
+        # through the SchedPolicy hooks.
         pol = config.policy if config.policy is not None else current_policy()
         self.policy = get_policy(pol)
         self.policy.configure(config.scheduler)
         self._policy_cfs = self.policy.inline_fast_path
-        self.engine = engine or make_engine()
+        self.engine = engine or Engine()
         # An enclosing observe() session supplies the recorder (and an
         # interval sampler) unless the caller passed an explicit trace.
         self._obs_session = current_session()
@@ -181,21 +176,6 @@ class Kernel:
             key_fn = self.policy.queue_key
             for cpu in self.cpus:
                 cpu.rq.key_fn = key_fn
-
-        # Struct-of-arrays load board (fast backend, wide machines):
-        # runqueues write-through size/blocked so balance scans run as
-        # numpy reductions.  Narrow fleets keep the scalar loops — the
-        # numpy fixed cost only pays off past VECTOR_MIN_CPUS.
-        self._soa_board = None
-        self._online_np = None
-        first_rq = self.cpus[0].rq if self.cpus else None
-        if (
-            len(self.cpus) >= _soa.VECTOR_MIN_CPUS
-            and hasattr(first_rq, "_board")
-        ):
-            board = _soa.CpuLoadBoard(len(self.cpus))
-            board.attach([c.rq for c in self.cpus])
-            self._soa_board = board
 
         # Schedstats + PSI-style pressure accounting (docs/telemetry.md).
         # ``psi_waiting``/``psi_running`` track runnable-not-running and
@@ -308,32 +288,6 @@ class Kernel:
         # Last: the sampler reads cpus/tasks, which must all exist.
         if self._obs_session is not None:
             self._obs_sampler = self._obs_session.attach(self)
-
-        # C hot cycle (fast backend): when the engine is the C extension,
-        # route the per-CPU event callback through the KernelCycle
-        # accelerator.  It replays _cpu_event/_continue/_dispatch for the
-        # common cases and calls back into the Python methods for
-        # everything rare (tracing on, parks, wakes, idle pulls, spins),
-        # so results are bit-identical by construction.
-        self._cycle = None
-        self._cpu_event_entry = self._cpu_event
-        if type(self.engine).__module__ == "repro.fastpath._fastcore":
-            from ..fastpath.build import load_fastcore
-
-            core = load_fastcore()
-            if core is not None and hasattr(core, "KernelCycle"):
-                try:
-                    support = _cycle_support()
-                    # Non-CFS policies make scheduling decisions in
-                    # Python; the C cycle bails out per event (counted
-                    # in counters()["bailouts"]) instead of replaying
-                    # its inlined CFS logic.
-                    support["POLICY_IS_CFS"] = 1 if self._policy_cfs else 0
-                    self._cycle = core.KernelCycle(self, support)
-                    self._cpu_event_entry = self._cycle.cpu_event
-                except Exception:
-                    self._cycle = None
-                    self._cpu_event_entry = self._cpu_event
 
     # ==================================================================
     # Public API
@@ -517,7 +471,6 @@ class Kernel:
         current = len(self._online)
         if n == current:
             return
-        self._online_np = None  # invalidate the vector-scan id cache
         if n > current:
             for cpu_id in range(current, n):
                 self.cpus[cpu_id].online = True
@@ -777,7 +730,7 @@ class Kernel:
         if ev is not None and not ev.cancelled:
             ev.cancel()
         cpu.event = engine.schedule_at(
-            end, self._cpu_event_entry, cpu.id, cpu.gen)
+            end, self._cpu_event, cpu.id, cpu.gen)
 
     def _cpu_event(self, cpu_id: int, gen: int) -> None:
         cpu = self.cpus[cpu_id]
@@ -1692,49 +1645,28 @@ class Kernel:
     # ==================================================================
     # Load balancing
     # ==================================================================
-    def _online_ids(self):
-        """Online cpu ids as an int64 numpy array (cached; invalidated
-        on hot-plug)."""
-        ids = self._online_np
-        if ids is None:
-            ids = _soa.np.asarray(self._online, dtype=_soa.np.int64)
-            self._online_np = ids
-        return ids
-
     def _idle_pull(self, cpu: CpuState) -> Task | None:
         """Newly-idle balance: steal one runnable task from the busiest CPU."""
         if not self.config.scheduler.idle_balance:
             return None
         busiest: CpuState | None = None
-        board = self._soa_board
-        if board is not None and len(self._online) >= _soa.VECTOR_MIN_CPUS:
-            # Vectorized source selection over the write-through load
-            # columns; tie-breaking matches the scalar loop exactly
-            # (first strictly-greater maximum in online order).
-            busiest_id = _soa.pick_busiest_eligible(
-                board, self.cpus, self._online_ids(), cpu.id
-            )
-            if busiest_id is None:
-                return None
-            busiest = self.cpus[busiest_id]
-        else:
-            busiest_load = 1
-            for cpu_id in self._online:
-                other = self.cpus[cpu_id]
-                if other is cpu:
-                    continue
-                rq = other.rq
-                # O(1) existence check: queued runnable == steal candidates
-                # modulo pinning/cache-hotness, which _migratable re-filters.
-                # (nr_running/nr_queued_runnable spelled out: this loop
-                # visits every online CPU on each newly-idle balance.)
-                size = rq.tree.size
-                load = size + (1 if rq.curr is not None else 0)
-                if load > busiest_load and size - rq.nr_blocked > 0:
-                    busiest = other
-                    busiest_load = load
-            if busiest is None:
-                return None
+        busiest_load = 1
+        for cpu_id in self._online:
+            other = self.cpus[cpu_id]
+            if other is cpu:
+                continue
+            rq = other.rq
+            # O(1) existence check: queued runnable == steal candidates
+            # modulo pinning/cache-hotness, which _migratable re-filters.
+            # (nr_running/nr_queued_runnable spelled out: this loop
+            # visits every online CPU on each newly-idle balance.)
+            size = rq.tree.size
+            load = size + (1 if rq.curr is not None else 0)
+            if load > busiest_load and size - rq.nr_blocked > 0:
+                busiest = other
+                busiest_load = load
+        if busiest is None:
+            return None
         cands = self._migratable(busiest.rq.steal_candidates())
         if not self._policy_cfs:
             cands = list(self.policy.steal_order(cands))
@@ -1784,24 +1716,10 @@ class Kernel:
                 now, "balance-scan", -1, None,
                 loads=[self.cpus[c].rq.nr_running for c in self._online],
             )
-        board = self._soa_board
-        vector = (
-            board is not None and len(self._online) >= _soa.VECTOR_MIN_CPUS
-        )
         for _ in range(4):  # bounded work per tick
-            if vector:
-                # max()/min() over (load, cpu_id) tuples, vectorized:
-                # busiest tie -> largest id, idlest tie -> smallest.
-                busiest_load, busiest_id, idlest_load, idlest_id = (
-                    _soa.balance_extremes(board, self.cpus,
-                                          self._online_ids())
-                )
-            else:
-                loads = [
-                    (self.cpus[c].rq.nr_running, c) for c in self._online
-                ]
-                busiest_load, busiest_id = max(loads)
-                idlest_load, idlest_id = min(loads)
+            loads = [(self.cpus[c].rq.nr_running, c) for c in self._online]
+            busiest_load, busiest_id = max(loads)
+            idlest_load, idlest_id = min(loads)
             if busiest_load - idlest_load < 2:
                 return
             if (busiest_load - idlest_load) <= sched.imbalance_pct * busiest_load:
@@ -1910,25 +1828,3 @@ _COMPUTE = A.Compute
 _PLAIN_COMPLETE = frozenset(
     cls for cls in _ACTION_DISPATCH if cls not in (A.Yield, A.SleepNs)
 )
-
-
-def _cycle_support() -> dict:
-    """Singletons the C KernelCycle needs to mirror the hot cycle.
-
-    Handing these over explicitly (rather than having C import them)
-    keeps the extension free of repro-internal imports and guarantees
-    the C path compares against the exact same objects this module uses.
-    """
-    return {
-        "RUNNING": TaskState.RUNNING,
-        "RUNNABLE": TaskState.RUNNABLE,
-        "SLEEPING": TaskState.SLEEPING,
-        "VBLOCKED": TaskState.VBLOCKED,
-        "MODE_COMPUTE": RunMode.COMPUTE,
-        "Compute": A.Compute,
-        "Yield": A.Yield,
-        "PLAIN_COMPLETE": _PLAIN_COMPLETE,
-        "ACTION_DISPATCH": _ACTION_DISPATCH,
-        "ProgramError": ProgramError,
-        "VB_SENTINEL": VB_SENTINEL,
-    }

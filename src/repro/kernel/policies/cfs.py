@@ -2,12 +2,11 @@
 
 The hook bodies here restate the expressions that used to be inlined
 in ``kernel/kernel.py``; with ``inline_fast_path = True`` the kernel
-keeps running those original inlined forms (and the C ``KernelCycle``
-stays eligible), so the digests cannot move.  The hooks still matter:
-they are what the invariant checker, the conformance tests, and the
-policy-author guide treat as the reference semantics, and
-``tests/test_policy.py`` proves the hook path and the inlined path
-produce identical simulations.
+keeps running those original inlined forms, so the digests cannot move.
+The hooks still matter: they are what the invariant checker, the
+conformance tests, and the policy-author guide treat as the reference
+semantics, and ``tests/test_policy.py`` proves the hook path and the
+inlined path produce identical simulations.
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ wakeup or an expired slice preempts, how long a slice is, and in what
 order the balancer considers steal candidates.
 
 Policies register themselves with :func:`register`; the registry drives
-``--policy`` / ``REPRO_POLICY`` selection (mirroring the ``--backend``
-plumbing in :mod:`repro.fastpath`), the ``repro list`` table, and the
-generated comparison table in ``docs/scheduling.md``.  The default
+``--policy`` / ``REPRO_POLICY`` selection, the ``repro list`` table, and
+the generated comparison table in ``docs/scheduling.md``.  The default
 ``cfs`` policy reproduces the kernel's historical inlined behavior
 bit-for-bit; see ``docs/scheduling.md`` for the full hook contract and
 a write-a-policy walkthrough.
@@ -52,7 +51,7 @@ class SchedPolicy:
     preempt_rule = "wakeup: vruntime gap > wakeup_granularity; " \
         "tick: any queued runnable"
     #: when True the kernel keeps its historical inlined CFS fast path
-    #: (bit-identical, fastpath-eligible) instead of calling these hooks
+    #: (bit-identical) instead of calling these hooks
     inline_fast_path = False
 
     def configure(self, sched) -> None:
@@ -164,8 +163,7 @@ def get_policy(name: str) -> SchedPolicy:
 
 
 # ----------------------------------------------------------------------
-# process-global default + CLI plumbing (mirrors repro.fastpath's
-# --backend / REPRO_BACKEND selection)
+# process-global default + CLI plumbing
 
 
 def current_policy() -> str:

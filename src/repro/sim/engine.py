@@ -35,33 +35,17 @@ from ..errors import SimulationError, SoftTimeoutError
 _SOFT_DEADLINE: float | None = None
 _SOFT_DEADLINE_MASK = 1023  # poll every 1024 events; keeps the hot loop cheap
 
-# Alternate run loops (the C fast backend) poll their own copy of the
-# deadline; they register a listener here so arm/disarm reaches every
-# engine implementation in the process.
-_DEADLINE_LISTENERS: list[Callable[[float | None], None]] = []
-
-
-def add_soft_deadline_listener(fn: Callable[[float | None], None]) -> None:
-    """Register ``fn(absolute_monotonic_deadline_or_None)``; it is called
-    on every :func:`set_soft_deadline` / :func:`clear_soft_deadline`."""
-    if fn not in _DEADLINE_LISTENERS:
-        _DEADLINE_LISTENERS.append(fn)
-
 
 def set_soft_deadline(timeout_s: float) -> None:
     """Arm a wall-clock deadline ``timeout_s`` seconds from now."""
     global _SOFT_DEADLINE
     _SOFT_DEADLINE = monotonic() + timeout_s
-    for fn in _DEADLINE_LISTENERS:
-        fn(_SOFT_DEADLINE)
 
 
 def clear_soft_deadline() -> None:
     """Disarm the soft deadline (idempotent)."""
     global _SOFT_DEADLINE
     _SOFT_DEADLINE = None
-    for fn in _DEADLINE_LISTENERS:
-        fn(None)
 
 
 class EventHandle:

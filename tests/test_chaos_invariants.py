@@ -9,7 +9,6 @@ import pytest
 
 from repro.chaos.invariants import InvariantChecker
 from repro.config import vanilla_config
-from repro.fastpath import current_backend
 from repro.errors import InvariantViolation
 from repro.kernel import Kernel
 from repro.kernel.task import TaskState
@@ -111,11 +110,8 @@ def test_rq_key_detected():
     k, chk = busy_kernel()
     _, t = queued_runnable(k)
     t.rq_key = (t.rq_key[0], t.rq_key[1] + 1)  # disagrees with the tree
-    # The pure sorted map still lists the task under its old key, so the
-    # checker reports the key mismatch; the fast heap's membership
-    # token IS the rq_key object, so the same corruption drops the task
-    # off the queue entirely and surfaces as a loss instead.
-    expect(chk, "task-lost" if current_backend() == "fast" else "rq-key")
+    # The sorted map still lists the task under its old key.
+    expect(chk, "rq-key")
 
 
 def test_rq_key_running_detected():
@@ -135,8 +131,7 @@ def test_nr_blocked_detected():
 
 def test_nr_schedulable_detected(monkeypatch):
     k, chk = busy_kernel()
-    # Lie at the class level (the fast runqueue is slotted, so instance
-    # patching is impossible); monkeypatch restores the real method.
+    # Lie at the class level; monkeypatch restores the real method.
     monkeypatch.setattr(
         type(k.cpus[0].rq), "nr_schedulable", lambda self: 999)
     expect(chk, "nr-schedulable")

@@ -49,12 +49,13 @@ def test_suite_rejects_unknown_benchmark():
         build_parser().parse_args(["suite", "doom3"])
 
 
-def _section_results_match_fixture(capsys, tmp_path, key: str) -> str:
+def _section_results_match_fixture(capsys, tmp_path, key: str,
+                                   *argv: str) -> str:
     """``repro <key> --quick`` writes exactly the fixture's entries for
     that section: the per-section commands and ``repro all`` share specs."""
     path = tmp_path / f"results-{key}.json"
     out = run_cli(capsys, key, "--quick", "--no-cache", "--jobs", "1",
-                  "--results", str(path))
+                  "--results", str(path), *argv)
     fixture = json.loads(FIXTURE.read_text(encoding="utf-8"))["results"]
     want = [e for e in fixture if e["id"].startswith(f"{key}/")]
     got = json.loads(path.read_text(encoding="utf-8"))["results"]
@@ -70,6 +71,25 @@ def test_fig04(capsys, tmp_path):
 def test_fig02(capsys, tmp_path):
     out = _section_results_match_fixture(capsys, tmp_path, "fig02")
     assert "per-switch cost" in out
+    # The deprecated backend selector warns once and moves no result.
+    with pytest.warns(FutureWarning, match="no effect") as record:
+        _section_results_match_fixture(capsys, tmp_path, "fig02",
+                                       "--backend", "fast")
+    assert [w.category for w in record].count(FutureWarning) == 1
+
+
+def test_unknown_backend_env_is_a_usage_error(monkeypatch, capsys):
+    from repro.fastpath import set_backend
+    from repro.fastpath.build import load_fastcore
+
+    assert load_fastcore() is None
+    with pytest.raises(ValueError):
+        set_backend("warp")
+    monkeypatch.setenv("REPRO_BACKEND", "warp")
+    with pytest.raises(SystemExit) as exc:
+        main(["fig02", "--quick", "--no-cache", "--results", "none"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_fig01_subset_scaled(capsys):
@@ -88,6 +108,7 @@ def test_table1_alias_exists():
     ["fig09", "--smt"],
     ["fig12", "--duration-ms", "300"],
     ["table2", "--duration-ms", "300"],
+    ["fig02", "--backend", "warp"],
 ])
 def test_removed_figure_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:

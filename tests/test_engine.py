@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import bisect
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import Engine
@@ -248,3 +253,145 @@ def test_schedule_earlier_after_run_until_window():
     e.schedule(90, lambda: log.append(("b", e.now)))
     e.run()
     assert log == [("b", 100), ("a", 5000)]
+
+
+def test_engine_compacts_under_cancel_storm():
+    e = Engine()
+    handles = [e.schedule(1000 + i, lambda: None) for i in range(4096)]
+    for h in handles[:-8]:
+        h.cancel()
+    assert e.pending == 8
+    # Compaction must have dropped the dead entries instead of letting
+    # the queue hold 4088 tombstones until t=1000.
+    assert e.queue_len() <= 2 * e.pending + 64
+    fired = []
+    e.on_event = lambda: fired.append(e.now)
+    e.run()
+    assert e.events_run == 8
+
+
+# ---------------------------------------------------------------------------
+# Engine vs a brute-force reference (schedule/cancel/run-until scripts)
+# ---------------------------------------------------------------------------
+
+#: Ops understood by :func:`replay_engine_ops`:
+#:   ("schedule", delay, tag)   schedule at now+delay
+#:   ("cancel", i)              cancel the i-th issued handle (mod count)
+#:   ("run_until", dt)          run(until=now+dt)
+#:   ("step",)                  fire exactly one event, if any
+_op = st.one_of(
+    st.tuples(
+        st.just("schedule"),
+        st.integers(min_value=0, max_value=500),
+        st.integers(min_value=0, max_value=400),
+    ),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1000)),
+    st.tuples(st.just("run_until"), st.integers(min_value=0, max_value=300)),
+    st.tuples(st.just("step")),
+)
+
+
+class _ListEngine:
+    """Brute-force reference engine: one list kept sorted by
+    ``(time, seq)``; a cancel removes its entry outright."""
+
+    def __init__(self):
+        self.now = self.events_run = self._seq = 0
+        self._q: list[tuple] = []
+
+    @property
+    def pending(self) -> int:
+        return len(self._q)
+
+    def peek_time(self):
+        return self._q[0][0] if self._q else None
+
+    def schedule(self, delay, fn, *args):
+        self._seq += 1
+        entry = (self.now + delay, self._seq, fn, args)
+        q = self._q
+        bisect.insort(q, entry)
+        return SimpleNamespace(cancel=lambda: entry in q and q.remove(entry))
+
+    def step(self) -> bool:
+        if not self._q:
+            return False
+        self.now, _seq, fn, args = self._q.pop(0)
+        self.events_run += 1
+        fn(*args)
+        return True
+
+    def run(self, until=None):
+        while self._q and (until is None or self._q[0][0] <= until):
+            self.step()
+        if until is not None and until > self.now:
+            self.now = until
+
+
+def replay_engine_ops(engine, ops: list[tuple]) -> dict:
+    """Drive ``engine`` through ``ops``, including scheduling and
+    cancelling from inside callbacks; return every fired event
+    ``(time, tag)`` and a clock/pending/events_run snapshot per op."""
+    log: list[tuple[int, int]] = []
+    handles: list = []
+    snapshots: list[tuple] = []
+
+    def fire(tag: int) -> None:
+        log.append((engine.now, tag))
+        # Deterministic in-callback behavior keyed off the tag so every
+        # engine sees identical re-entrant scheduling and cancellation.
+        if tag % 3 == 0:
+            handles.append(engine.schedule(tag % 7 + 1, fire, tag + 10_000))
+        if tag % 5 == 0 and handles:
+            handles[tag % len(handles)].cancel()
+
+    for op in ops:
+        kind = op[0]
+        if kind == "schedule":
+            handles.append(engine.schedule(op[1], fire, op[2]))
+        elif kind == "cancel":
+            if handles:
+                handles[op[1] % len(handles)].cancel()
+        elif kind == "run_until":
+            engine.run(until=engine.now + op[1])
+        else:
+            engine.step()
+        snapshots.append(
+            (engine.now, engine.pending, engine.events_run,
+             engine.peek_time())
+        )
+    # Drain whatever is left so the comparison covers the full stream.
+    engine.run()
+    snapshots.append((engine.now, engine.pending, engine.events_run))
+    return {"log": log, "snapshots": snapshots}
+
+
+def _assert_matches_reference(ops) -> None:
+    got = replay_engine_ops(Engine(), ops)
+    want = replay_engine_ops(_ListEngine(), ops)
+    assert got["log"] == want["log"]
+    assert got["snapshots"] == want["snapshots"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_op, min_size=1, max_size=60))
+def test_engine_parity_randomized_scripts(ops):
+    _assert_matches_reference(ops)
+
+
+def test_engine_parity_cancel_heavy():
+    # Deterministic cancel-storm: most events die before firing, which
+    # exercises lazy tombstones and compaction.
+    ops = []
+    for i in range(300):
+        ops.append(("schedule", (i * 37) % 900, i))
+    for i in range(280):
+        ops.append(("cancel", i))
+    ops.append(("run_until", 1_000))
+    _assert_matches_reference(ops)
+    # Two of every three cancelled, and the 100 survivors share 30
+    # deadlines with distinct tags, so the tie order is compared too.
+    ops = [("schedule", (i * 37) % 90, i) for i in range(300)]
+    ops += [("cancel", i) for i in range(300) if i % 3]
+    ops.append(("run_until", 1_000))
+    _assert_matches_reference(ops)

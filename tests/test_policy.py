@@ -1,7 +1,7 @@
 """Pluggable scheduler policies: registry contract, CFS-through-the-
 interface identity, per-policy invariants/properties (work conservation,
-no lost tasks, RR rotation, EEVDF eligibility), descriptor/cache-key
-stability, and the fast backend's non-CFS bailout contract."""
+no lost tasks, RR rotation, EEVDF eligibility), and descriptor/cache-key
+stability."""
 
 from __future__ import annotations
 
@@ -313,38 +313,3 @@ def test_cli_list_surfaces_policies(capsys):
     for name in available():
         assert name in out
     assert "--policy" in out and "docs/scheduling.md" in out
-
-
-# ---------------------------------------------------------------------
-# fast backend: byte parity + bailout contract
-# ---------------------------------------------------------------------
-
-@pytest.mark.parametrize("policy", available())
-def test_fast_backend_matches_pure_per_policy(policy):
-    from repro.fastpath import current_backend, set_backend
-    prev = current_backend()
-    try:
-        set_backend("pure")
-        pure = run_point(policy)
-        set_backend("fast")
-        fast = run_point(policy)
-    finally:
-        set_backend(prev)
-    assert fast == pure
-
-
-def test_fast_cycle_bails_for_non_cfs():
-    from repro.fastpath import current_backend, set_backend
-    prev = current_backend()
-    try:
-        set_backend("fast")
-        k_cfs, _ = compute_kernel("cfs", cores=2, ntasks=6)
-        k_eevdf, _ = compute_kernel("eevdf", cores=2, ntasks=6)
-    finally:
-        set_backend(prev)
-    if k_cfs._cycle is None:  # pragma: no cover - C ext unavailable
-        pytest.skip("fast KernelCycle not built")
-    assert k_cfs._cycle.counters()["fast_events"] > 0
-    eevdf_counters = k_eevdf._cycle.counters()
-    assert eevdf_counters["fast_events"] == 0
-    assert eevdf_counters["bailouts"] > 0

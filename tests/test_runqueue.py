@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kernel.runqueue import VB_SENTINEL, CfsRunqueue
 from repro.kernel.task import Task, TaskState
@@ -177,3 +179,49 @@ def test_update_min_vruntime_ignores_sentinel_keys():
     rq.enqueue(runnable)
     rq.update_min_vruntime()
     assert rq.min_vruntime == 700
+
+
+_max_vr_op = st.one_of(
+    st.tuples(
+        st.just("enqueue"),
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=0, max_value=10_000),
+        st.booleans(),
+    ),
+    st.tuples(st.just("dequeue"), st.integers(min_value=0, max_value=15)),
+    st.tuples(st.just("pick")),
+)
+
+
+@pytest.mark.parametrize("policy_keyed", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_max_vr_op, min_size=1, max_size=60))
+def test_max_runnable_vruntime_parity(policy_keyed, ops):
+    """BWD's skip-flag placement reads the largest queued runnable
+    vruntime: the sorted map's max-below-sentinel search (or its scan
+    under a policy key_fn) agrees with a brute-force answer while
+    VB-sentinel entries are queued."""
+    rq = CfsRunqueue(0)
+    if policy_keyed:
+        rq.key_fn = lambda t: -t.vruntime
+    tasks = [Task(f"t{i}", iter(())) for i in range(16)]
+    for op in ops:
+        if op[0] == "enqueue":
+            t = tasks[op[1]]
+            if t.rq_key is None:
+                t.vruntime = op[2]
+                t.thread_state = 1 if op[3] else 0
+                t.state = TaskState.RUNNABLE
+                rq.enqueue(t)
+        elif op[0] == "dequeue":
+            t = tasks[op[1]]
+            if t.rq_key is not None:
+                rq.dequeue(t)
+        else:
+            rq.pick_next()
+        want = max(
+            (t.vruntime for t in tasks
+             if t.rq_key is not None and t.thread_state == 0),
+            default=None,
+        )
+        assert rq.max_runnable_vruntime() == want, op
