@@ -2,7 +2,7 @@
 
 The ``bench_*.py`` files here cover experiments beyond the paper's
 numbered figures and tables (mechanism ablations, NPB on the OpenMP
-runtime layer, web serving).  Each runs its sweep once (simulations are
+runtime layer).  Each runs its sweep once (simulations are
 deterministic; repeated timing rounds would only measure the host),
 prints the rows, and asserts the qualitative claims on them.  The
 paper's figures and tables themselves come from ``repro figNN [--quick]``

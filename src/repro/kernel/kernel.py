@@ -47,7 +47,7 @@ from .epoll import EpollInstance
 from .futex import FutexTable
 from .hrtimer import HrTimer
 from .locks import SimLockTimeline
-from .policy import current_policy, get_policy
+from .policy import SchedPolicy, current_policy, get_policy
 from .runqueue import CfsRunqueue
 from .task import ExecProfile, RunMode, Task, TaskState
 
@@ -117,14 +117,12 @@ class Kernel:
     ):
         self.config = config
         # Scheduling policy (docs/scheduling.md): SimConfig.policy wins,
-        # else the process-global default (--policy / REPRO_POLICY).  The
-        # default CFS keeps the kernel's historical inlined decision
-        # paths (bit-identical); other policies route those decisions
-        # through the SchedPolicy hooks.
+        # else the process-global default (--policy / REPRO_POLICY).  Every
+        # scheduling decision goes through its SchedPolicy hooks; CFS is
+        # the base-class hooks.
         pol = config.policy if config.policy is not None else current_policy()
         self.policy = get_policy(pol)
         self.policy.configure(config.scheduler)
-        self._policy_cfs = self.policy.inline_fast_path
         self.engine = engine or Engine()
         # An enclosing observe() session supplies the recorder (and an
         # interval sampler) unless the caller passed an explicit trace.
@@ -170,9 +168,10 @@ class Kernel:
             if sib is not None and sib < len(self.cpus):
                 cpu.sib = self.cpus[sib]
         self._smt_factor = hw.smt_throughput_factor
-        if not self._policy_cfs:
-            # Non-CFS policies key the runqueues themselves (the VB
-            # sentinel still wins inside _key_for, for every policy).
+        if type(self.policy).queue_key is not SchedPolicy.queue_key:
+            # A policy that re-keys the queue installs its hook (the VB
+            # sentinel still wins inside _key_for).  Vruntime keying leaves
+            # key_fn None, which keeps the runqueue's O(1) vruntime floor.
             key_fn = self.policy.queue_key
             for cpu in self.cpus:
                 cpu.rq.key_fn = key_fn
@@ -512,12 +511,6 @@ class Kernel:
     # ==================================================================
     # Core scheduling
     # ==================================================================
-    def _speed_factor(self, cpu: CpuState) -> float:
-        sib = cpu.sib
-        if sib is not None and sib.online and sib.rq.curr is not None:
-            return self._smt_factor
-        return 1.0
-
     def _cancel_cpu_event(self, cpu: CpuState) -> None:
         cpu.gen += 1
         if cpu.event is not None:
@@ -562,12 +555,7 @@ class Kernel:
         cpu.run_started = now
 
     def _calc_slice(self, cpu: CpuState) -> int:
-        nr = max(1, cpu.rq.nr_schedulable())
-        if not self._policy_cfs:
-            return self.policy.slice_ns(nr)
-        sched = self.config.scheduler
-        sl = sched.sched_latency_ns // nr
-        return max(sched.min_granularity_ns, min(sched.regular_slice_ns, sl))
+        return self.policy.slice_ns(max(1, cpu.rq.nr_schedulable()))
 
     def _schedule(self, cpu: CpuState) -> None:
         """Pick the next task for an idle CPU (rq.curr must be None)."""
@@ -595,10 +583,7 @@ class Kernel:
                 cpu.poll_idle_since = now
             self._cancel_cpu_event(cpu)
             return
-        if self._policy_cfs:
-            task = cpu.rq.pick_next()
-        else:
-            task = self.policy.pick_next(cpu.rq)
+        task = self.policy.pick_next(cpu.rq)
         cpu.rq.curr = task
         self._dispatch(cpu, task)
 
@@ -644,7 +629,7 @@ class Kernel:
             task.woken_at = None
         task.skip_flag = False
         cpu.run_started = now + delay
-        # Inlined _speed_factor / _calc_slice (hot: once per dispatch).
+        # SMT: the task runs slower while its sibling core is busy.
         sib = cpu.sib
         cpu.run_factor = (
             self._smt_factor
@@ -652,15 +637,7 @@ class Kernel:
             else 1.0
         )
         nr = cpu.rq.nr_schedulable()
-        if self._policy_cfs:
-            sl = sched.sched_latency_ns // (nr if nr > 1 else 1)
-            if sl > sched.regular_slice_ns:
-                sl = sched.regular_slice_ns
-            if sl < sched.min_granularity_ns:
-                sl = sched.min_granularity_ns
-        else:
-            sl = self.policy.slice_ns(nr if nr > 1 else 1)
-        cpu.slice_end = now + delay + sl
+        cpu.slice_end = now + delay + self.policy.slice_ns(nr if nr > 1 else 1)
         cpu.rq.update_min_vruntime()
         if self.trace.enabled:
             self.trace.emit(now, "dispatch", cpu.id, task.name)
@@ -672,9 +649,9 @@ class Kernel:
         assert task is not None
         engine = self.engine
         now = engine.now
-        # Resolve any completed blocking action or start the first action.
-        # The generator resume (_advance) is inlined: this loop runs once
-        # per action, millions of times per simulation.
+        # Resolve any completed blocking action, then resume the generator
+        # and start its next action.  This loop runs once per action,
+        # millions of times per simulation, so both steps are inline.
         while True:
             if task.wake_completed:
                 task.wake_completed = False
@@ -778,16 +755,11 @@ class Kernel:
             return
         if now >= cpu.slice_end:
             task.stats.nr_slice_expiries += 1
-            if self._policy_cfs:
-                head = cpu.rq.peek_next()
-                preempt = head is not None and not head.thread_state
-            else:
-                preempt = self.policy.tick_preempt(cpu.rq, task)
-                head = cpu.rq.peek_next() if self.trace.enabled else None
-            if preempt:
+            if self.policy.tick_preempt(cpu.rq, task):
                 # Involuntary preemption at slice expiry.
                 task.stats.nr_involuntary += 1
                 if self.trace.enabled:
+                    head = cpu.rq.peek_next()
                     self.trace.emit(now, "slice-expiry", cpu.id, task.name,
                                     preempted=True)
                     self.trace.emit(now, "preempt", cpu.id, task.name,
@@ -822,30 +794,6 @@ class Kernel:
         cpu.rq.enqueue(task)
         cpu.rq.update_min_vruntime()
 
-    def _advance(self, cpu: CpuState, task: Task) -> bool:
-        """Resume the task's generator; returns False if the task left the
-        CPU (exited or a zero-cost park happened)."""
-        try:
-            action = task.program.send(task.pending_result)
-        except StopIteration:
-            self._exit_task(cpu, task)
-            return False
-        except Exception as exc:  # a buggy program, not the simulator
-            task.exit_error = exc
-            self._exit_task(cpu, task)
-            raise ProgramError(
-                f"program of task {task.name!r} raised {exc!r}"
-            ) from exc
-        task.pending_result = None
-        task.action = action
-        # Inlined _start_action dispatch (one call saved per action).
-        handler = _ACTION_DISPATCH.get(action.__class__)
-        if handler is not None:
-            handler(self, cpu, task, action)
-        else:
-            self._start_action_generic(cpu, task, action)
-        return True
-
     def _exit_task(self, cpu: CpuState, task: Task) -> None:
         now = self.engine.now
         task.set_state(TaskState.EXITED, now)
@@ -864,21 +812,6 @@ class Kernel:
     # ==================================================================
     # Action semantics
     # ==================================================================
-    def _start_action(self, cpu: CpuState, task: Task, action: A.Action) -> None:
-        """Compute the action's on-CPU charge and perform entry effects.
-
-        Dispatched through a type-keyed table (``_ACTION_DISPATCH`` at the
-        bottom of this module): every program action is one dict lookup
-        instead of a walk down an isinstance ladder — this runs once per
-        action, millions of times per simulation.  Action subclasses (none
-        in-tree) fall back to the isinstance path in ``_start_action_generic``.
-        """
-        handler = _ACTION_DISPATCH.get(action.__class__)
-        if handler is not None:
-            handler(self, cpu, task, action)
-        else:
-            self._start_action_generic(cpu, task, action)
-
     def _act_compute(self, cpu: CpuState, task: Task, action) -> None:
         ns = action.ns
         task.action_remaining = ns if ns > 1 else 1
@@ -914,11 +847,7 @@ class Kernel:
         task.action_remaining = self.config.futex.syscall_entry_ns
 
     def _act_blocking(self, cpu: CpuState, task: Task, action) -> None:
-        entry = _BLOCKING_ENTRY.get(action.__class__)
-        if entry is not None:
-            cost = entry(self, task, action)
-        else:  # a blocking-action subclass: resolve by isinstance
-            cost = self._blocking_entry(cpu, task, action)
+        cost = _BLOCKING_ENTRY[action.__class__](self, task, action)
         task.action_remaining = cost if cost > 1 else 1
 
     def _act_spin_acquire(self, cpu: CpuState, task: Task, action) -> None:
@@ -967,47 +896,17 @@ class Kernel:
         self, cpu: CpuState, task: Task, action: A.Action
     ) -> None:
         """Fallback for action *subclasses*: resolve by isinstance, then
-        cache the winning handler for the concrete type."""
+        cache the winning handler (and, for a blocking action, its entry
+        hook) for the concrete type, so later actions are one lookup."""
         for cls, handler in list(_ACTION_DISPATCH.items()):
             if isinstance(action, cls):
-                _ACTION_DISPATCH[action.__class__] = handler
+                sub = action.__class__
+                _ACTION_DISPATCH[sub] = handler
+                if cls in _BLOCKING_ENTRY:
+                    _BLOCKING_ENTRY[sub] = _BLOCKING_ENTRY[cls]
                 handler(self, cpu, task, action)
                 return
         raise ProgramError(f"unknown action {action!r} from {task.name}")
-
-    def _blocking_entry(self, cpu: CpuState, task: Task, action: A.Action) -> int:
-        """Drive a blocking primitive's entry hook; may arrange a park."""
-        if isinstance(action, A.MutexAcquire):
-            return action.mutex.acquire(self, task)
-        if isinstance(action, A.MutexRelease):
-            return action.mutex.release(self, task)
-        if isinstance(action, A.MutexEnsure):
-            return action.mutex.ensure(self, task)
-        if isinstance(action, A.CondWait):
-            return action.cond.wait(self, task)
-        if isinstance(action, A.CondWaitRequeue):
-            return action.cond.wait_with(self, task, action.mutex)
-        if isinstance(action, A.CondBroadcastRequeue):
-            return action.cond.broadcast_requeue(self, task, action.mutex)
-        if isinstance(action, A.RwAcquireRead):
-            return action.lock.acquire_read(self, task)
-        if isinstance(action, A.RwReleaseRead):
-            return action.lock.release_read(self, task)
-        if isinstance(action, A.RwAcquireWrite):
-            return action.lock.acquire_write(self, task)
-        if isinstance(action, A.RwReleaseWrite):
-            return action.lock.release_write(self, task)
-        if isinstance(action, A.CondSignal):
-            return action.cond.signal(self, task)
-        if isinstance(action, A.CondBroadcast):
-            return action.cond.broadcast(self, task)
-        if isinstance(action, A.BarrierWait):
-            return action.barrier.wait(self, task)
-        if isinstance(action, A.SemWait):
-            return action.sem.wait(self, task)
-        if isinstance(action, A.SemPost):
-            return action.sem.post(self, task)
-        raise ProgramError(f"unhandled blocking action {action!r}")
 
     def _complete_action(self, cpu: CpuState, task: Task) -> None:
         """The current action's charge finished; apply completion effects."""
@@ -1403,12 +1302,7 @@ class Kernel:
         task.wake_completed = True
         task.woken_at = now
         task.stats.nr_wakeups += 1
-        if self._policy_cfs:
-            cpu.rq.place_vruntime(
-                task, self.config.scheduler.sched_latency_ns // 2
-            )
-        else:
-            self.policy.place_wakeup(cpu.rq, task)
+        self.policy.place_wakeup(cpu.rq, task)
         cpu.rq.enqueue(task)
         if self.trace.enabled:
             self.trace.emit(now, "wake", target, task.name, how="vanilla")
@@ -1500,12 +1394,7 @@ class Kernel:
         task.vruntime = (
             task.vruntime - home.rq.min_vruntime + cpu.rq.min_vruntime
         )
-        if self._policy_cfs:
-            cpu.rq.place_vruntime(
-                task, self.config.scheduler.sched_latency_ns // 2
-            )
-        else:
-            self.policy.place_wakeup(cpu.rq, task)
+        self.policy.place_wakeup(cpu.rq, task)
         cpu.rq.enqueue(task)
         if self.trace.enabled:
             self.trace.emit(now, "wake", target, task.name, how="vb-placed")
@@ -1527,12 +1416,7 @@ class Kernel:
                 self._schedule(cpu)
             return
         self._sync_current(cpu)
-        if self._policy_cfs:
-            gran = self.config.scheduler.wakeup_granularity_ns
-            preempt = curr.vruntime - woken.vruntime > gran
-        else:
-            preempt = self.policy.check_preempt(curr, woken)
-        if preempt:
+        if self.policy.check_preempt(curr, woken):
             curr.stats.nr_involuntary += 1
             if self.trace.enabled:
                 self.trace.emit(self.now, "preempt", cpu.id, curr.name,
@@ -1667,9 +1551,8 @@ class Kernel:
                 busiest_load = load
         if busiest is None:
             return None
-        cands = self._migratable(busiest.rq.steal_candidates())
-        if not self._policy_cfs:
-            cands = list(self.policy.steal_order(cands))
+        cands = list(self.policy.steal_order(
+            self._migratable(busiest.rq.steal_candidates())))
         if not cands:
             return None
         task = cands[int(self._rng_sched.integers(0, len(cands)))]
@@ -1726,9 +1609,8 @@ class Kernel:
                 return
             src = self.cpus[busiest_id]
             dst = self.cpus[idlest_id]
-            cands = self._migratable(src.rq.steal_candidates())
-            if not self._policy_cfs:
-                cands = list(self.policy.steal_order(cands))
+            cands = list(self.policy.steal_order(
+                self._migratable(src.rq.steal_candidates())))
             if not cands:
                 return
             task = cands[int(self._rng_sched.integers(0, len(cands)))]
@@ -1799,9 +1681,10 @@ _BLOCKING_ENTRY = {
     A.RwReleaseWrite: lambda k, t, a: a.lock.release_write(k, t),
 }
 
-# Concrete action type -> unbound Kernel handler.  ``_start_action`` is a
-# single dict lookup; subclasses (none in-tree) take the isinstance
-# fallback in ``_start_action_generic`` and are cached here afterwards.
+# Concrete action type -> unbound Kernel handler.  ``_continue`` starts an
+# action with a single dict lookup; subclasses (none in-tree) take the
+# isinstance fallback in ``_start_action_generic`` and are cached here
+# (and, if blocking, in ``_BLOCKING_ENTRY``) afterwards.
 _ACTION_DISPATCH = {
     A.Compute: Kernel._act_compute,
     A.MemTraverse: Kernel._act_memtraverse,

@@ -9,10 +9,11 @@ order the balancer considers steal candidates.
 
 Policies register themselves with :func:`register`; the registry drives
 ``--policy`` / ``REPRO_POLICY`` selection, the ``repro list`` table, and
-the generated comparison table in ``docs/scheduling.md``.  The default
-``cfs`` policy reproduces the kernel's historical inlined behavior
-bit-for-bit; see ``docs/scheduling.md`` for the full hook contract and
-a write-a-policy walkthrough.
+the generated comparison table in ``docs/scheduling.md``.  The hook
+defaults here *are* CFS, and the kernel calls them for every policy, so
+the default ``cfs`` policy overrides nothing; see
+``docs/scheduling.md`` for the full hook contract and a write-a-policy
+walkthrough.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ class SchedPolicy:
     #: human-readable preemption rule for the generated comparison table
     preempt_rule = "wakeup: vruntime gap > wakeup_granularity; " \
         "tick: any queued runnable"
-    #: when True the kernel keeps its historical inlined CFS fast path
-    #: (bit-identical) instead of calling these hooks
-    inline_fast_path = False
 
     def configure(self, sched) -> None:
         """Bind the kernel's ``SchedulerConfig`` (slice/latency knobs)."""
@@ -66,7 +64,10 @@ class SchedPolicy:
         task (never for VB-parked tasks — those get the sentinel key).
         May refresh per-task policy state (e.g. renew an EEVDF
         deadline).  Must return a value far below ``VB_SENTINEL`` so
-        parked tasks always sort behind every runnable.
+        parked tasks always sort behind every runnable.  The kernel
+        installs this hook only when a policy overrides it; the default
+        vruntime keying is the runqueue's own, with its O(1)
+        ``min_vruntime`` floor.
         """
         return task.vruntime
 

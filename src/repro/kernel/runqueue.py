@@ -44,8 +44,8 @@ class CfsRunqueue:
         self._seq = 0
         self.nr_blocked = 0  # sentinel-keyed (VB-blocked) entries in tree
         self.nr_enqueues = 0
-        # Non-CFS policies install their queue_key hook here; None keeps
-        # the historical inlined vruntime keying (and its O(1) min path).
+        # A policy that overrides queue_key installs the hook here; None
+        # keeps vruntime keying (and its O(1) min path).
         self.key_fn = None
 
     # ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Reusable client load generation (the mutilate role).
 
-Server workloads (memcached, web serving) share the same client model:
+Server workloads (memcached, serving) share the same client model:
 a population of connections, each looping *send request → wait for the
 response → think → send again* (closed loop), with exponential think times
 so the offered load is bursty.  :class:`ClosedLoopClients` owns that loop

@@ -16,7 +16,7 @@ traffic a production serving fleet actually sees:
   :func:`~repro.metrics.stats.summarize_latencies` path for the final
   summary; and
 * **multi-tenant colocation**: a latency-critical epoll server (the
-  memcached/webserver service model) sharing one oversubscribed kernel
+  memcached service model) sharing one oversubscribed kernel
   with a batch NPB/OpenMP tenant, in bare-metal, container, and VM (PLE)
   modes.
 
@@ -215,8 +215,8 @@ class SloTracker:
 class ServingConfig:
     """Per-request service model of the latency-critical tenant.
 
-    The shape is the memcached/webserver one (epoll workers, striped
-    hash locks) with costs sized so four cores saturate near
+    The shape is the memcached one (epoll workers, striped hash locks)
+    with costs sized so four cores saturate near
     :data:`SATURATION_RATE` — parse + critical section + respond is
     ~9 us of CPU per request.
     """

@@ -349,3 +349,42 @@ def test_vb_placed_wake_counts_home_cpu_load_once():
     k.run_for(1 * MS)
     assert k.vb_policy.stats.vb_placed_wakes == 1
     assert w.last_cpu == 1
+
+
+def test_action_subclasses_run_like_their_bases():
+    """Action subclasses dispatch through their base's handlers (same
+    schedule), and a blocking subclass's entry hook is cached beside its
+    base's, so only its first action takes the isinstance fallback."""
+    from repro.kernel.kernel import _BLOCKING_ENTRY
+
+    class MyAcquire(MutexAcquire):
+        pass
+
+    class MyRelease(MutexRelease):
+        pass
+
+    class MyCompute(Compute):
+        pass
+
+    def run(acquire, release, compute):
+        k = Kernel(vanilla_config(cores=2, seed=5))
+        m = Mutex()
+        log = []
+
+        def worker(name):
+            for _ in range(50):
+                yield compute(20 * US)
+                yield acquire(m)
+                yield compute(5 * US)
+                yield release(m)
+                log.append((name, k.now))
+
+        for i in range(6):
+            k.spawn(worker(f"w{i}"), name=f"w{i}")
+        k.run_to_completion()
+        return log
+
+    base = run(MutexAcquire, MutexRelease, Compute)
+    assert len(base) == 6 * 50
+    assert run(MyAcquire, MyRelease, MyCompute) == base
+    assert MyAcquire in _BLOCKING_ENTRY and MyRelease in _BLOCKING_ENTRY

@@ -1,7 +1,6 @@
-"""Pluggable scheduler policies: registry contract, CFS-through-the-
-interface identity, per-policy invariants/properties (work conservation,
-no lost tasks, RR rotation, EEVDF eligibility), and descriptor/cache-key
-stability."""
+"""Pluggable scheduler policies: registry contract, runqueue keying,
+per-policy invariants/properties (work conservation, no lost tasks, RR
+rotation, EEVDF eligibility), and descriptor/cache-key stability."""
 
 from __future__ import annotations
 
@@ -30,14 +29,6 @@ from repro.prog.actions import Compute
 from repro.runners.parallel import RUNNERS, vanilla_desc
 
 MS = 1_000_000
-
-
-def run_point(policy: str | None, *, nthreads=12, cores=4, scale=0.05,
-              seed=7, name="fluidanimate"):
-    """One suite data point through the real runner + make_config path."""
-    desc = vanilla_desc(cores, seed, policy=policy)
-    return RUNNERS["suite_point"](name=name, nthreads=nthreads,
-                                  config=desc, work_scale=scale)
 
 
 def compute_kernel(policy: str, *, cores=2, ntasks=6, chunks=9,
@@ -278,21 +269,29 @@ def test_eevdf_picks_eligible_earliest_deadline():
 
 
 # ---------------------------------------------------------------------
-# CFS through the interface
+# runqueue keying
 # ---------------------------------------------------------------------
 
-def test_cfs_hook_path_matches_inline_path(monkeypatch):
-    """The CfsPolicy hooks restate the kernel's inlined expressions:
-    forcing the hook path must reproduce the inline path bit-for-bit."""
-    inline = run_point("cfs")
-    monkeypatch.setattr(CfsPolicy, "inline_fast_path", False)
-    assert run_point("cfs") == inline
+class _PlainPolicy(SchedPolicy):
+    """Overrides no hook: CFS under another name."""
+    name = "plain"
 
 
-def test_cfs_hook_path_matches_on_dense_kernel(monkeypatch):
-    inline = compute_kernel("cfs", cores=2, ntasks=6)[1]
-    monkeypatch.setattr(CfsPolicy, "inline_fast_path", False)
-    assert compute_kernel("cfs", cores=2, ntasks=6)[1] == inline
+@pytest.mark.parametrize("policy,keyed", [
+    ("cfs", False), ("plain", False), ("eevdf", True), ("fifo_rr", True),
+])
+def test_key_fn_installed_only_when_queue_key_is_overridden(
+        policy, keyed, monkeypatch):
+    """Vruntime keying is the runqueue's own (``key_fn`` None, which keeps
+    the O(1) ``min_vruntime``); a policy that re-keys the queue gets its
+    ``queue_key`` hook installed on every CPU."""
+    monkeypatch.setitem(POLICIES, "plain", _PlainPolicy)
+    k = Kernel(vanilla_config(cores=2, policy=policy))
+    for cpu in k.cpus:
+        if keyed:
+            assert cpu.rq.key_fn == k.policy.queue_key
+        else:
+            assert cpu.rq.key_fn is None
 
 
 # ---------------------------------------------------------------------
