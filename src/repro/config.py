@@ -47,11 +47,8 @@ class HardwareConfig:
     line_bytes: int = 64
     page_bytes: int = 4096
     l1d_bytes: int = 32 * 1024
-    l1d_assoc: int = 8
     l2_bytes: int = 256 * 1024
-    l2_assoc: int = 8
     l3_bytes: int = 45 * 1024 * 1024  # per socket
-    l3_assoc: int = 16
 
     dtlb_l1_entries: int = 64
     dtlb_l2_entries: int = 1536
@@ -67,8 +64,6 @@ class HardwareConfig:
     # Fraction of miss latency hidden by the stream prefetcher on fully
     # sequential streams (single predictable stream).
     prefetch_coverage: float = 0.85
-
-    lbr_entries: int = 16
 
     def __post_init__(self) -> None:
         if self.sockets < 1 or self.cores_per_socket < 1 or self.smt < 1:
@@ -106,7 +101,6 @@ class SchedulerConfig:
     # (lost L1/L2/TLB state; cross-node adds remote-memory refills).
     migration_cost_in_node_ns: int = 10 * US
     migration_cost_cross_node_ns: int = 25 * US
-    idle_balance: bool = True
     # can_migrate_task's cache-hot rejection: a task is not stolen until it
     # has waited this long (Linux's sysctl_sched_migration_cost).
     migration_cold_delay_ns: int = 200 * US

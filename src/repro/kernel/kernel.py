@@ -1531,8 +1531,6 @@ class Kernel:
     # ==================================================================
     def _idle_pull(self, cpu: CpuState) -> Task | None:
         """Newly-idle balance: steal one runnable task from the busiest CPU."""
-        if not self.config.scheduler.idle_balance:
-            return None
         busiest: CpuState | None = None
         busiest_load = 1
         for cpu_id in self._online:

@@ -56,8 +56,8 @@ class RunStats:
     bwd_specificity: float
     # Schedstats/PSI totals (docs/telemetry.md).  Deliberately NOT part of
     # the digested result surface (runners/parallel._stats_dict) — they
-    # ride along for callers holding the RunStats object, while golden
-    # digests stay byte-identical with telemetry on or off.
+    # ride along for callers holding the RunStats object, while results
+    # stay byte-identical with telemetry on or off.
     psi_some_ns: int = 0
     psi_full_ns: int = 0
     slice_expiries: int = 0

@@ -1109,9 +1109,6 @@ def add_report_flags(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--trace-dir", default=None, metavar="DIR",
                     help="ship one JSONL scheduling trace per spec into DIR "
                          "(disables cache reads so every trace is fresh)")
-    ap.add_argument("--sample-interval-us", type=float, default=None,
-                    metavar="US", help="also run the interval sampler at "
-                                       "this period (requires --trace-dir)")
     ap.add_argument("--metrics-dir", default=None, metavar="DIR",
                     help="write per-spec telemetry into DIR (schedstats "
                          "JSON, OpenMetrics text, PSI series JSONL; "
@@ -1138,7 +1135,6 @@ def run_full_report(
     out: TextIO | None = None,
     progress_out: TextIO | None = None,
     trace_dir: str | None = None,
-    sample_interval_us: float | None = None,
     metrics_dir: str | None = None,
     validate: bool = False,
     sections: list[str] | None = None,
@@ -1202,8 +1198,7 @@ def run_full_report(
         jobs=jobs, cache_dir=cache_dir, use_cache=use_cache,
         timeout_s=timeout_s, retries=retries, strict=False,
         progress=progress,
-        trace_dir=trace_dir, sample_interval_us=sample_interval_us,
-        metrics_dir=metrics_dir,
+        trace_dir=trace_dir, metrics_dir=metrics_dir,
     )
     values = runner.run(specs)
     if is_tty:
@@ -1258,8 +1253,8 @@ def run_full_report(
     }
     if metrics_dir is not None:
         # Sibling of "results": telemetry summaries never enter the
-        # digested results array, so digests are identical with or
-        # without --metrics-dir (tests/test_golden_digests.py).
+        # results array, so that array is identical with or without
+        # --metrics-dir (tests/test_determinism.py).
         from ..telemetry import load_spec_summary
 
         telemetry = {}
@@ -1325,7 +1320,6 @@ def main_from_args(args: argparse.Namespace) -> int:
         retries=getattr(args, "max_retries", 1),
         strict=getattr(args, "strict", False),
         trace_dir=getattr(args, "trace_dir", None),
-        sample_interval_us=getattr(args, "sample_interval_us", None),
         metrics_dir=getattr(args, "metrics_dir", None),
         validate=getattr(args, "validate", False),
         sections=getattr(args, "sections", None),

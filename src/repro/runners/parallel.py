@@ -623,11 +623,11 @@ def execute_spec(payload: dict, timeout_s: float | None,
       and is the only timeout on SIGALRM-less platforms — previously those
       ran unbounded.
 
-    ``obs`` (keys ``trace_dir``, ``sample_interval_us``, ``capacity``,
-    ``metrics_dir``) wraps the run in an ``observe()`` session, ships the
-    trace as ``<trace_dir>/<id with '/' -> '__'>.jsonl``, and writes the
-    per-spec telemetry files (schedstats JSON, OpenMetrics text, PSI
-    series JSONL) into ``metrics_dir`` (docs/telemetry.md).
+    ``obs`` (keys ``trace_dir``, ``metrics_dir``) wraps the run in an
+    ``observe()`` session, ships the trace as
+    ``<trace_dir>/<id with '/' -> '__'>.jsonl``, and writes the per-spec
+    telemetry files (schedstats JSON, OpenMetrics text, PSI series JSONL)
+    into ``metrics_dir`` (docs/telemetry.md).
     """
     from ..sim.engine import clear_soft_deadline, set_soft_deadline
 
@@ -649,12 +649,8 @@ def execute_spec(payload: dict, timeout_s: float | None,
         if not obs:
             return fn(**payload["params"])
         from ..obs.session import observe
-        from ..sim.trace import DEFAULT_CAPACITY
 
-        with observe(
-            sample_interval_us=obs.get("sample_interval_us"),
-            capacity=obs.get("capacity") or DEFAULT_CAPACITY,
-        ) as session:
+        with observe() as session:
             result = fn(**payload["params"])
         trace_dir = obs.get("trace_dir")
         if trace_dir:
@@ -735,8 +731,6 @@ class ParallelRunner:
         progress: Callable[[RunnerStats], None] | None = None,
         version: str | None = None,
         trace_dir: str | os.PathLike | None = None,
-        sample_interval_us: float | None = None,
-        trace_capacity: int | None = None,
         metrics_dir: str | os.PathLike | None = None,
     ) -> None:
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
@@ -754,21 +748,15 @@ class ParallelRunner:
         self.progress = progress
         self.version = version if version is not None else __version__
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
-        self.sample_interval_us = sample_interval_us
-        self.trace_capacity = trace_capacity
         self.metrics_dir = (
             str(metrics_dir) if metrics_dir is not None else None
         )
         self.stats = RunnerStats()
 
     def _obs(self) -> dict | None:
-        if (self.trace_dir is None and self.sample_interval_us is None
-                and self.metrics_dir is None):
+        if not self._per_id_artifacts:
             return None
-        return {"trace_dir": self.trace_dir,
-                "sample_interval_us": self.sample_interval_us,
-                "capacity": self.trace_capacity,
-                "metrics_dir": self.metrics_dir}
+        return {"trace_dir": self.trace_dir, "metrics_dir": self.metrics_dir}
 
     @property
     def _per_id_artifacts(self) -> bool:

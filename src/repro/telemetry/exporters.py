@@ -4,7 +4,7 @@
 text format (``# TYPE``/``# HELP`` metadata, ``_total``-suffixed counter
 samples, histogram ``_bucket``/``_count``/``_sum`` series with a
 ``+Inf`` bound, single trailing ``# EOF``) — the format the CI
-telemetry-smoke job validates line by line.  ``write_series_jsonl``
+fidelity job validates line by line.  ``write_series_jsonl``
 writes one JSON object per row with sorted keys, so identical series
 are byte-identical files.
 """

@@ -3,7 +3,8 @@
 EXPERIMENTS.md used to hand-transcribe every figure/table of the paper
 against measured numbers, with nothing enforcing the transcription: a
 perf or model change could silently halve ``lu``'s collapse and tier-1
-would still pass (golden digests pin bit-identity, not paper fidelity).
+would still pass (``tests/test_determinism.py`` pins bit-identity with
+the committed fixture, not paper fidelity).
 
 This package turns the paper's claims into executable specs:
 

@@ -1053,38 +1053,7 @@ SPECS: list[FidelitySpec] = [
         extract=_resil_identity_pct, band=(100.0, 100.0),
     ),
     # ----- Scheduler policies (beyond the paper) ---------------------
-    # The pluggable-policy layer (docs/scheduling.md).  The CFS identity
-    # specs pin the tentpole guarantee: routing CFS through the
-    # SchedPolicy interface reuses the very cache entries fig02/fig09
-    # wrote, so the ratio is exactly 1.0 — any refactor that perturbs
-    # CFS scheduling breaks these before it breaks a golden digest.
-    _spec(
-        id="sched/cfs-identity-1x", section="sched",
-        title="CFS through the policy interface is byte-identical at 1x "
-              "(sched/cfs/1x vs fig09/streamcluster/8T)",
-        paper="n/a (refactor identity)", unit="x", fmt="{:.4f}",
-        extract=lambda r: r.ratio("sched/cfs/1x", "fig09/streamcluster/8T"),
-        band=(1.0, 1.0),
-    ),
-    _spec(
-        id="sched/cfs-identity-4x", section="sched",
-        title="CFS through the policy interface is byte-identical at 4x "
-              "(sched/cfs/4x vs fig09/streamcluster/32T)",
-        paper="n/a (refactor identity)", unit="x", fmt="{:.4f}",
-        extract=lambda r: r.ratio("sched/cfs/4x", "fig09/streamcluster/32T"),
-        band=(1.0, 1.0),
-    ),
-    _spec(
-        id="sched/cfs-identity-switch", section="sched",
-        title="per-switch direct cost is unchanged under the policy "
-              "interface (sched/cfs/switch vs fig02/per_switch)",
-        paper="n/a (refactor identity)", unit="x", fmt="{:.4f}",
-        extract=lambda r: (
-            r.result("sched/cfs/switch")["per_switch_ns"]
-            / r.result("fig02/per_switch")["per_switch_ns"]
-        ),
-        band=(1.0, 1.0),
-    ),
+    # The pluggable-policy layer (docs/scheduling.md).
     _spec(
         id="sched/eevdf-parity-1x", section="sched",
         title="EEVDF tracks CFS at 1x (no queueing, nothing to reorder)",
@@ -1298,12 +1267,10 @@ SECTION_DOCS: list[SectionDoc] = [
               "(beyond the paper)",
         claim="Not in the paper: the scheduler's decision points are a "
               "pluggable SchedPolicy interface (docs/scheduling.md). "
-              "CFS through the interface is bit-identical to the "
-              "pre-refactor scheduler (it reuses fig02/fig09's cache "
-              "entries, ratio exactly 1.0); EEVDF and FIFO-RR run the "
-              "same workload invariant-clean within a bounded band of "
-              "CFS, and at 1x — where no runqueue ever holds a waiter — "
-              "every policy converges on the same schedule.",
+              "EEVDF and FIFO-RR run the same workload invariant-clean "
+              "within a bounded band of CFS, and at 1x — where no "
+              "runqueue ever holds a waiter — every policy converges on "
+              "the same schedule.",
         note="Mechanism (VB sentinel keys, BWD vruntime pushes, "
              "migration, hot-plug) is shared by every policy; only "
              "ordering, placement, preemption, and slicing are "

@@ -7,9 +7,10 @@ import os
 
 import pytest
 
-# Kernel invariant checking is on for the whole suite (ISSUE 4): every
-# simulation any test runs doubles as a correctness audit.  The checker is
-# read-only, so results — including the golden digests — are unchanged.
+# Kernel invariant checking is on for the whole suite: every simulation
+# any test runs doubles as a correctness audit.  The checker is read-only,
+# so results — including the fixture matches of test_determinism.py — are
+# unchanged.
 # Respect an explicit opt-out (REPRO_CHECK_INVARIANTS=0) for timing work.
 os.environ.setdefault("REPRO_CHECK_INVARIANTS", "1")
 

@@ -26,7 +26,6 @@ def test_default_hardware_matches_paper_testbed():
     assert hw.total_cpus == 72  # hyper-threading enabled
     assert hw.dtlb_l1_entries == 64
     assert hw.dtlb_l2_entries == 1536
-    assert hw.lbr_entries == 16
 
 
 def test_default_scheduler_matches_paper():
