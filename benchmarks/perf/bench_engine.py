@@ -56,10 +56,12 @@ def _drive_cancel_heavy(n_events: int) -> tuple[int, int]:
             q = e.queue_len()
             if q > peak:
                 peak = q
+        if e.events_run >= n_events:
+            e.stop()
 
     for chain in range(_CHAINS):
         e.schedule(_PERIODS[chain], tick, chain)
-    e.run(max_events=n_events + 1, stop_when=lambda: e.events_run >= n_events)
+    e.run(max_events=n_events + 1)
     for h in decoys:
         h.cancel()
     return e.events_run, peak
@@ -75,10 +77,12 @@ def _drive(n_events: int) -> int:
         if e.events_run % 16 == 0:
             h.cancel()
             e.schedule(_PERIODS[chain], tick, chain)
+        if e.events_run >= n_events:
+            e.stop()
 
     for chain in range(_CHAINS):
         e.schedule(_PERIODS[chain], tick, chain)
-    e.run(max_events=n_events + 1, stop_when=lambda: e.events_run >= n_events)
+    e.run(max_events=n_events + 1)
     assert e.events_run >= n_events
     return e.events_run
 

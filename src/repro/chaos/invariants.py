@@ -24,6 +24,8 @@ and in ``docs/robustness.md``):
                             CFS)
 ``nr-blocked``              a queue's incremental VB-blocked counter
                             disagrees with a from-scratch recount
+``nr-runnable``             the machine-wide count of queued runnable
+                            tasks disagrees with a from-scratch recount
 ``nr-schedulable``          ``nr_schedulable()`` disagrees with a recount
 ``min-vruntime-monotonic``  a queue's ``min_vruntime`` went backwards
 ``work-conservation``       an online CPU is idle while runnable
@@ -117,6 +119,7 @@ class InvariantChecker:
         k = self.kernel
         fail = self._fail
         seen: dict = {}  # task -> ("curr"|"queued", cpu_id)
+        runnable = 0  # queued, not VB-blocked, over every CPU
 
         for cpu in k.cpus:
             rq = cpu.rq
@@ -239,6 +242,7 @@ class InvariantChecker:
                     counter=rq.nr_blocked,
                     recount=blocked,
                 )
+            runnable += rq.tree.size - blocked
             expect_sched = rq.tree.size - blocked + (
                 1 if curr is not None and curr.thread_state == 0 else 0
             )
@@ -273,6 +277,14 @@ class InvariantChecker:
             self._min_vr[cpu.id] = mv
             if self.deep:
                 rq.tree.validate()
+        if runnable != k.queued_runnable.n:
+            fail(
+                "nr-runnable",
+                f"queued_runnable={k.queued_runnable.n} but recount finds "
+                f"{runnable}",
+                counter=k.queued_runnable.n,
+                recount=runnable,
+            )
 
         live = 0
         for t in k.tasks:

@@ -4,11 +4,14 @@ Execution model
 ---------------
 Each CPU runs at most one task.  A running task has a *current charge* — the
 remaining on-CPU nanoseconds of its current action (``None`` while spinning,
-which burns CPU until granted or preempted).  The kernel schedules one engine
-event per CPU (the earliest of action completion and slice expiry) and
-invalidates stale events with a per-CPU generation counter.  Interruptions
-(wakeup preemption, spin grants, BWD deschedules) synchronize the running
-task's progress first, then mutate state.
+which burns CPU until granted or preempted).  Each CPU keeps at most one live
+engine event, its running task's next *milestone* (the earlier of action
+completion and slice expiry); every reschedule cancels the old one, so no
+stale event ever fires.  When a milestone's successor comes before every
+queued event, ``_cpu_event`` runs it in place instead of scheduling it
+(run-ahead, docs/performance.md).  Interruptions (wakeup preemption, spin
+grants, BWD deschedules) synchronize the running task's progress first, then
+mutate state.
 
 Blocking follows the paper's two paths:
 
@@ -40,7 +43,7 @@ from ..hw.topology import Topology
 from ..obs.hist import Log2Histogram
 from ..obs.session import current_session
 from ..prog import actions as A
-from ..sim.engine import Engine
+from ..sim.engine import DEADLINE_POLL_MASK, Engine
 from ..sim.rng import RngStreams
 from ..sim.trace import TraceRecorder
 from .epoll import EpollInstance
@@ -48,7 +51,7 @@ from .futex import FutexTable
 from .hrtimer import HrTimer
 from .locks import SimLockTimeline
 from .policy import SchedPolicy, current_policy, get_policy
-from .runqueue import CfsRunqueue
+from .runqueue import CfsRunqueue, QueuedRunnable
 from .task import ExecProfile, RunMode, Task, TaskState
 
 # Always-on schedstats (PSI counts, runqueue-depth integrals, per-CPU
@@ -68,7 +71,6 @@ class CpuState:
         "rq",
         "rq_lock",
         "sib",
-        "gen",
         "event",
         "run_started",
         "run_factor",
@@ -84,13 +86,13 @@ class CpuState:
         "nr_switches",
     )
 
-    def __init__(self, cpu_id: int, info) -> None:
+    def __init__(self, cpu_id: int, info,
+                 queued_runnable: QueuedRunnable) -> None:
         self.id = cpu_id
         self.info = info
-        self.rq = CfsRunqueue(cpu_id)
+        self.rq = CfsRunqueue(cpu_id, queued_runnable)
         self.rq_lock = SimLockTimeline(f"rq-{cpu_id}")
         self.sib: "CpuState | None" = None  # SMT sibling, wired by Kernel
-        self.gen = 0
         self.event = None
         self.run_started = 0
         self.run_factor = 1.0
@@ -153,7 +155,10 @@ class Kernel:
         hw = config.hardware
         # Topology over the whole machine; ``online`` tracks elastic CPUs.
         self.topology = Topology(hw, online_cpus=None)
-        self.cpus = [CpuState(c.cpu_id, c) for c in self.topology.cpus]
+        # Queued runnable tasks over all CPUs: _idle_pull's O(1) exit.
+        self.queued_runnable = QueuedRunnable()
+        self.cpus = [CpuState(c.cpu_id, c, self.queued_runnable)
+                     for c in self.topology.cpus]
         initial = config.online_cpus or len(self.cpus)
         if initial > len(self.cpus):
             raise SimulationError(
@@ -221,6 +226,8 @@ class Kernel:
 
         self.tasks: list[Task] = []
         self.live_tasks = 0
+        # Set while run_to_completion runs: the last exit stops the engine.
+        self._stop_at_last_exit = False
         self.migrations_in_node = 0
         self.migrations_cross_node = 0
         self.wake_migrations = 0
@@ -349,11 +356,12 @@ class Kernel:
         Raises :class:`DeadlockError` if the deadline passes with live tasks.
         """
         deadline = self.engine.now + max_ns
-        self.engine.run(
-            until=deadline,
-            max_events=max_events,
-            stop_when=lambda: self.live_tasks == 0,
-        )
+        if self.live_tasks:
+            self._stop_at_last_exit = True
+            try:
+                self.engine.run(until=deadline, max_events=max_events)
+            finally:
+                self._stop_at_last_exit = False
         if self.live_tasks > 0:
             blocked = tuple(
                 f"{t.name}({t.state.value})" for t in self.tasks if t.alive
@@ -512,7 +520,6 @@ class Kernel:
     # Core scheduling
     # ==================================================================
     def _cancel_cpu_event(self, cpu: CpuState) -> None:
-        cpu.gen += 1
         if cpu.event is not None:
             cpu.event.cancel()
             cpu.event = None
@@ -553,9 +560,6 @@ class Kernel:
         else:
             task.account_state(now)
         cpu.run_started = now
-
-    def _calc_slice(self, cpu: CpuState) -> int:
-        return self.policy.slice_ns(max(1, cpu.rq.nr_schedulable()))
 
     def _schedule(self, cpu: CpuState) -> None:
         """Pick the next task for an idle CPU (rq.curr must be None)."""
@@ -644,11 +648,20 @@ class Kernel:
         self._continue(cpu)
 
     def _continue(self, cpu: CpuState) -> None:
-        """Set up the engine event for the current task's next milestone."""
-        task = cpu.rq.curr
-        assert task is not None
-        engine = self.engine
-        now = engine.now
+        """Arm the engine event for the current task's next milestone."""
+        end = self._advance(cpu, cpu.rq.curr)
+        if end is None:
+            return
+        ev = cpu.event
+        if ev is not None and not ev.cancelled:
+            ev.cancel()
+        cpu.event = self.engine.schedule_at(end, self._cpu_event, cpu)
+
+    def _advance(self, cpu: CpuState, task: Task) -> int | None:
+        """Run ``task``'s program up to its next action and return the
+        time of its next milestone, or None if the CPU was already
+        rescheduled (the task exited, or a satisfied spin re-armed it)."""
+        now = self.engine.now
         # Resolve any completed blocking action, then resume the generator
         # and start its next action.  This loop runs once per action,
         # millions of times per simulation, so both steps are inline.
@@ -665,7 +678,7 @@ class Kernel:
                 action = task.program.send(task.pending_result)
             except StopIteration:
                 self._exit_task(cpu, task)
-                return
+                return None
             except Exception as exc:  # a buggy program, not the simulator
                 task.exit_error = exc
                 self._exit_task(cpu, task)
@@ -689,91 +702,93 @@ class Kernel:
             # Spinning: re-check the condition (it may have been satisfied
             # while this task was off-CPU), else burn until slice expiry.
             if self._spin_recheck_condition(cpu, task):
-                return  # converted into a grab charge and rescheduled
-            end = cpu.slice_end
-        else:
-            rf = cpu.run_factor
-            need = rem if rf == 1.0 else math.ceil(rem / rf)
-            end = cpu.run_started + need
-            slice_end = cpu.slice_end
-            if slice_end < end:
-                end = slice_end
-            if end < now:
-                end = now
-        # Inlined _cancel_cpu_event; the usual case is replacing the event
-        # that just fired (already consumed), which needs no cancel call.
-        cpu.gen += 1
-        ev = cpu.event
-        if ev is not None and not ev.cancelled:
-            ev.cancel()
-        cpu.event = engine.schedule_at(
-            end, self._cpu_event, cpu.id, cpu.gen)
+                return None  # converted into a grab charge and re-armed
+            return cpu.slice_end
+        rf = cpu.run_factor
+        need = rem if rf == 1.0 else math.ceil(rem / rf)
+        end = cpu.run_started + need
+        slice_end = cpu.slice_end
+        if slice_end < end:
+            end = slice_end
+        return end if end > now else now
 
-    def _cpu_event(self, cpu_id: int, gen: int) -> None:
-        cpu = self.cpus[cpu_id]
-        if gen != cpu.gen:
-            return
+    def _cpu_event(self, cpu: CpuState) -> None:
+        """The running task reached a milestone.  While each next one
+        comes strictly before every queued event, and no later than the
+        run's bound, it runs here in place (run-ahead): it would have been
+        the very next event popped, so the order is unchanged."""
+        engine = self.engine
+        heap = engine.heap
         task = cpu.rq.curr
-        if task is None:
-            return
-        # Inlined _sync_current (the single hottest call site; the method
-        # remains for the preempt/sampler paths).
-        now = self.engine.now
-        start = cpu.run_started
-        if now > start:
-            elapsed = now - start
-            cpu.busy_ns += elapsed
-            if task.weight == 1024:
-                task.vruntime += elapsed
-            else:
-                task.vruntime += elapsed * 1024 // task.weight
-            rem = task.action_remaining
-            if rem is not None:
-                rf = cpu.run_factor
-                rem -= elapsed if rf == 1.0 else int(elapsed * rf)
-                task.action_remaining = rem if rem > 0 else 0
-            if task.state is TaskState.RUNNING:
-                acct = now - task.state_since
-                if acct > 0:
-                    if task.mode is RunMode.COMPUTE:
-                        task.stats.cpu_ns += acct
-                    else:
-                        task.stats.spin_ns += acct
-                task.state_since = now
-            else:
-                task.account_state(now)
-            cpu.run_started = now
-        if task.action_remaining == 0:
-            # Plain completion (no park, no yield/sleep special case) goes
-            # straight back to _continue without the _complete_action frame.
-            if (task.action.__class__ in _PLAIN_COMPLETE
-                    and task.block_kind is None):
+        while True:
+            # Inlined _sync_current (the single hottest call site; the
+            # method remains for the preempt/sampler paths).
+            now = engine.now
+            start = cpu.run_started
+            if now > start:
+                elapsed = now - start
+                cpu.busy_ns += elapsed
+                if task.weight == 1024:
+                    task.vruntime += elapsed
+                else:
+                    task.vruntime += elapsed * 1024 // task.weight
+                rem = task.action_remaining
+                if rem is not None:
+                    rf = cpu.run_factor
+                    rem -= elapsed if rf == 1.0 else int(elapsed * rf)
+                    task.action_remaining = rem if rem > 0 else 0
+                if task.state is TaskState.RUNNING:
+                    acct = now - task.state_since
+                    if acct > 0:
+                        if task.mode is RunMode.COMPUTE:
+                            task.stats.cpu_ns += acct
+                        else:
+                            task.stats.spin_ns += acct
+                    task.state_since = now
+                else:
+                    task.account_state(now)
+                cpu.run_started = now
+            if task.action_remaining == 0:
+                # Plain completion (no park, no yield/sleep special case)
+                # goes straight on to the next action.
+                if (task.action.__class__ not in _PLAIN_COMPLETE
+                        or task.block_kind is not None):
+                    self._complete_action(cpu, task)
+                    return
                 task.action = None
-                self._continue(cpu)
-            else:
-                self._complete_action(cpu, task)
-            return
-        if now >= cpu.slice_end:
-            task.stats.nr_slice_expiries += 1
-            if self.policy.tick_preempt(cpu.rq, task):
-                # Involuntary preemption at slice expiry.
-                task.stats.nr_involuntary += 1
+            elif now >= cpu.slice_end:
+                task.stats.nr_slice_expiries += 1
+                if self.policy.tick_preempt(cpu.rq, task):
+                    # Involuntary preemption at slice expiry.
+                    task.stats.nr_involuntary += 1
+                    if self.trace.enabled:
+                        head = cpu.rq.peek_next()
+                        self.trace.emit(now, "slice-expiry", cpu.id,
+                                        task.name, preempted=True)
+                        self.trace.emit(
+                            now, "preempt", cpu.id, task.name,
+                            reason="slice-expiry",
+                            by=head.name if head is not None else None)
+                    self._put_prev_runnable(cpu)
+                    self._schedule(cpu)
+                    return
+                # Nothing else runnable: renew the slice in place.
                 if self.trace.enabled:
-                    head = cpu.rq.peek_next()
                     self.trace.emit(now, "slice-expiry", cpu.id, task.name,
-                                    preempted=True)
-                    self.trace.emit(now, "preempt", cpu.id, task.name,
-                                    reason="slice-expiry",
-                                    by=head.name if head is not None else None)
-                self._put_prev_runnable(cpu)
-                self._schedule(cpu)
+                                    preempted=False)
+                nr = cpu.rq.nr_schedulable()
+                cpu.slice_end = now + self.policy.slice_ns(nr if nr > 1 else 1)
+            end = self._advance(cpu, task)
+            if end is None:
                 return
-            # Nothing else runnable: renew the slice in place.
-            if self.trace.enabled:
-                self.trace.emit(now, "slice-expiry", cpu.id, task.name,
-                                preempted=False)
-            cpu.slice_end = now + self._calc_slice(cpu)
-        self._continue(cpu)
+            if heap and end < heap[0][0] and end <= engine.ahead_until:
+                engine.now = end
+                n = engine.events_run = engine.events_run + 1
+                if not n & DEADLINE_POLL_MASK:
+                    engine.poll_deadline()
+                continue
+            cpu.event = engine.schedule_at(end, self._cpu_event, cpu)
+            return
 
     def _put_prev_runnable(self, cpu: CpuState) -> None:
         task = cpu.rq.curr
@@ -800,6 +815,8 @@ class Kernel:
         task.exited_at = now
         task.cpu = None
         self.live_tasks -= 1
+        if not self.live_tasks and self._stop_at_last_exit:
+            self.engine.stop()
         if self._schedstats:
             self._depth_delta(now, -1)
             self._psi_transition(now, 0, -1)
@@ -912,10 +929,7 @@ class Kernel:
         """The current action's charge finished; apply completion effects."""
         action = task.action
         now = self.engine.now
-        # Exact-class checks first (the common case); subclasses of the
-        # syscall stubs (none in-tree) fall through to isinstance below.
-        cls = action.__class__
-        if cls is A.Yield:
+        if isinstance(action, A.Yield):
             task.action = None
             task.stats.nr_voluntary += 1
             # Step behind peers at the same vruntime.
@@ -923,21 +937,7 @@ class Kernel:
             self._put_prev_runnable(cpu)
             self._schedule(cpu)
             return
-        if cls is A.SleepNs:
-            task.action = None
-            task.pending_result = None
-            self._park(cpu, task, kind="sleep")
-            self.engine.schedule(action.ns, self._timer_wake, task)
-            return
-        if (cls is not A.Compute and cls is not A.MemTraverse
-                and isinstance(action, (A.Yield, A.SleepNs))):
-            if isinstance(action, A.Yield):
-                task.action = None
-                task.stats.nr_voluntary += 1
-                task.vruntime += 1
-                self._put_prev_runnable(cpu)
-                self._schedule(cpu)
-                return
+        if isinstance(action, A.SleepNs):
             task.action = None
             task.pending_result = None
             self._park(cpu, task, kind="sleep")
@@ -1162,8 +1162,7 @@ class Kernel:
             woken += 1
         if waker is None and woken:
             # Interrupt-context processing time.
-            first = self._select_wake_cpu_id_safe()
-            self.cpus[first].irq_ns += total
+            self.cpus[self._online[0]].irq_ns += total
         if self.trace.enabled and woken:
             wcpu = -1
             if waker is not None and waker.cpu is not None:
@@ -1175,9 +1174,6 @@ class Kernel:
                 in_place=in_place, cost_ns=total,
             )
         return total
-
-    def _select_wake_cpu_id_safe(self) -> int:
-        return self._online[0]
 
     def _select_wake_cpu(self, task: Task, sync: bool = False) -> int:
         """select_task_rq at wakeup: the previous CPU if it is idle;
@@ -1531,6 +1527,8 @@ class Kernel:
     # ==================================================================
     def _idle_pull(self, cpu: CpuState) -> Task | None:
         """Newly-idle balance: steal one runnable task from the busiest CPU."""
+        if not self.queued_runnable.n:
+            return None  # every queue is empty or VB-blocked
         busiest: CpuState | None = None
         busiest_load = 1
         for cpu_id in self._online:

@@ -13,11 +13,13 @@ and only reaches blocked ones when the whole queue is blocked.
 Hot-path accounting is incremental: the queue counts its VB-blocked
 (sentinel-keyed) entries on enqueue/dequeue, so ``nr_schedulable()`` is
 O(1) instead of a per-call scan, and the map's first slot makes
-``peek_next``/``update_min_vruntime`` O(1).  This relies on an
-invariant the kernel maintains: a queued task's key class (sentinel vs
-real vruntime) always matches its ``thread_state`` at every point where
-the queue is observed — VB wake paths re-key the task in the same
-uninterruptible step that clears the flag.
+``peek_next``/``update_min_vruntime`` O(1).  The same updates keep a
+machine-wide :class:`QueuedRunnable` count that a kernel's runqueues
+share, so an idle CPU knows in O(1) when no queue has a task to steal.
+This relies on an invariant the kernel maintains: a queued task's key
+class (sentinel vs real vruntime) always matches its ``thread_state`` at
+every point where the queue is observed — VB wake paths re-key the task
+in the same uninterruptible step that clears the flag.
 """
 
 from __future__ import annotations
@@ -33,16 +35,30 @@ VB_SENTINEL = 3_600_000_000_000
 _SENTINEL_FLOOR = (VB_SENTINEL,)
 
 
+class QueuedRunnable:
+    """Queued runnable (not VB-blocked) tasks over every runqueue of one
+    machine: real-keyed entries, counted where ``nr_blocked`` counts the
+    sentinel-keyed ones."""
+
+    __slots__ = ("n",)
+
+    def __init__(self) -> None:
+        self.n = 0
+
+
 class CfsRunqueue:
     """One CPU's runqueue."""
 
-    def __init__(self, cpu_id: int):
+    def __init__(self, cpu_id: int,
+                 queued_runnable: QueuedRunnable | None = None):
         self.cpu_id = cpu_id
         self.tree = SortedMap()
         self.curr: Task | None = None
         self.min_vruntime: int = 0
         self._seq = 0
         self.nr_blocked = 0  # sentinel-keyed (VB-blocked) entries in tree
+        self.queued_runnable = (queued_runnable if queued_runnable is not None
+                                else QueuedRunnable())
         self.nr_enqueues = 0
         # A policy that overrides queue_key installs the hook here; None
         # keeps vruntime keying (and its O(1) min path).
@@ -105,6 +121,8 @@ class CfsRunqueue:
         task.rq_key = key
         if key[0] >= VB_SENTINEL:
             self.nr_blocked += 1
+        else:
+            self.queued_runnable.n += 1
         self.nr_enqueues += 1
 
     def dequeue(self, task: Task) -> None:
@@ -114,6 +132,8 @@ class CfsRunqueue:
         task.rq_key = None
         if key[0] >= VB_SENTINEL:
             self.nr_blocked -= 1
+        else:
+            self.queued_runnable.n -= 1
 
     def requeue(self, task: Task) -> None:
         """Re-insert with a key reflecting the task's current state."""
@@ -138,6 +158,8 @@ class CfsRunqueue:
         key, task = tree.pop_min()
         if key[0] >= VB_SENTINEL:
             self.nr_blocked -= 1
+        else:
+            self.queued_runnable.n -= 1
         task.rq_key = None
         return task
 

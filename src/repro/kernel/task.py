@@ -186,7 +186,20 @@ class Task:
         self.state_since = now
 
     def set_state(self, state: TaskState, now: int) -> None:
-        self.account_state(now)
+        # account_state, inlined: this runs on every state change.
+        elapsed = now - self.state_since
+        if elapsed > 0:
+            old = self.state
+            if old is TaskState.RUNNING:
+                if self.mode is RunMode.COMPUTE:
+                    self.stats.cpu_ns += elapsed
+                else:
+                    self.stats.spin_ns += elapsed
+            elif old is TaskState.RUNNABLE:
+                self.stats.wait_ns += elapsed
+            elif old is TaskState.SLEEPING or old is TaskState.VBLOCKED:
+                self.stats.sleep_ns += elapsed
+        self.state_since = now
         self.state = state
 
     def set_mode(self, mode: RunMode, now: int) -> None:

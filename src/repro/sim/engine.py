@@ -11,6 +11,17 @@ and a cancelled entry stays in the heap until it surfaces at the top,
 where the run loop and ``peek_time`` drop it for good.  A live-event
 counter keeps ``pending`` O(1), and the heap is rebuilt without the
 cancelled entries once they outnumber the live ones.
+
+Run-ahead: a callback that knows its own next event may run it in place
+instead of scheduling it, when the event's time ``t`` is strictly earlier
+than the heap's top entry and no later than ``ahead_until``.  Such an
+event would have been the very next one popped (an entry at the same
+time was scheduled earlier and comes first), so the callback sets
+``now = t``, counts it in ``events_run``, polls the soft deadline every
+``DEADLINE_POLL_MASK + 1`` events, and carries on.  ``run()`` sets
+``ahead_until`` to its ``until`` and clears it to -1 when it returns;
+it stays -1 while ``on_event`` or ``max_events`` must see every event
+and once :meth:`Engine.stop` is pending.
 """
 
 from __future__ import annotations
@@ -27,13 +38,13 @@ from ..errors import SimulationError, SoftTimeoutError
 # ``signal.SIGALRM``/``setitimer`` do not exist on every platform and never
 # fire in non-main threads, so an in-worker alarm can silently vanish and a
 # spec runs unbounded.  As a portable backstop the run loop polls this
-# module-level deadline every ``_SOFT_DEADLINE_MASK + 1`` events and raises
+# module-level deadline every ``DEADLINE_POLL_MASK + 1`` events and raises
 # :class:`SoftTimeoutError` once it passes.  The poll only covers simulated
 # work (an engine must be running events); host-level sleeps still need a
 # real alarm.  Process-global by design: one spec runs per worker process.
 
 _SOFT_DEADLINE: float | None = None
-_SOFT_DEADLINE_MASK = 1023  # poll every 1024 events; keeps the hot loop cheap
+DEADLINE_POLL_MASK = 1023  # poll every 1024 events; keeps the hot loop cheap
 
 
 def set_soft_deadline(timeout_s: float) -> None:
@@ -81,7 +92,7 @@ class EventHandle:
             # timers) would otherwise grow the heap with entries that
             # only wait to be popped; drop them once they outnumber the
             # live ones.
-            n = len(engine._heap)
+            n = len(engine.heap)
             if n > 64 and engine._live * 2 < n:
                 engine._compact()
         # Drop references so cancelled events do not pin large objects
@@ -96,25 +107,29 @@ def _noop(*_args) -> None:  # pragma: no cover - trivial
 
 _new_handle = EventHandle.__new__
 
+# The run-ahead bound of a run() with no ``until``: later than any event.
+_FOREVER = 1 << 62
+
 
 class Engine:
     """Event loop owning the simulated clock."""
 
-    __slots__ = ("now", "_heap", "_seq", "_live", "_events_run", "on_event")
+    __slots__ = ("now", "heap", "_seq", "_live", "events_run", "on_event",
+                 "ahead_until", "_stop")
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._heap: list[tuple[int, int, EventHandle]] = []
+        # Read-only outside the engine: run-ahead callbacks compare with
+        # the top entry's time, ``heap[0][0]`` (see the module docstring).
+        self.heap: list[tuple[int, int, EventHandle]] = []
         self._seq = 0  # global schedule counter: the heap's tie-breaker
         self._live = 0  # queued entries not cancelled
-        self._events_run = 0
+        self.events_run = 0
         # Post-event hook: called (no args) after each fired event.  Used
         # by the chaos invariant checker; must be installed before run().
         self.on_event: Callable[[], None] | None = None
-
-    @property
-    def events_run(self) -> int:
-        return self._events_run
+        self.ahead_until = -1  # run-ahead bound; -1: run-ahead is off
+        self._stop = False
 
     @property
     def pending(self) -> int:
@@ -129,11 +144,11 @@ class Engine:
         O(queue) — used by the invariant checker to cross-check the O(1)
         ``pending`` counter; never called on the hot path.
         """
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
+        return sum(1 for entry in self.heap if not entry[2].cancelled)
 
     def queue_len(self) -> int:
         """Raw heap length, cancelled entries included."""
-        return len(self._heap)
+        return len(self.heap)
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args) -> EventHandle:
         if time < self.now:
@@ -149,7 +164,7 @@ class Engine:
         handle.cancelled = False
         handle._engine = self
         seq = self._seq = self._seq + 1
-        heappush(self._heap, (time, seq, handle))
+        heappush(self.heap, (time, seq, handle))
         self._live += 1
         return handle
 
@@ -163,9 +178,9 @@ class Engine:
 
         The surviving entries keep their unique ``(time, seq)`` keys, so
         the pop order cannot change.  In-place on purpose: the ``run()``
-        loop holds a local alias to the heap.
+        loop and run-ahead callbacks hold local aliases to the heap.
         """
-        heap = self._heap
+        heap = self.heap
         heap[:] = [entry for entry in heap if not entry[2].cancelled]
         heapify(heap)
 
@@ -174,7 +189,7 @@ class Engine:
 
         Cancelled entries on top of the heap are popped for good, so the
         heap top is the next live event and repeated calls are O(1)."""
-        heap = self._heap
+        heap = self.heap
         while heap:
             entry = heap[0]
             if not entry[2].cancelled:
@@ -182,9 +197,23 @@ class Engine:
             heappop(heap)
         return None
 
+    def poll_deadline(self) -> None:
+        """Raise :class:`SoftTimeoutError` once the soft deadline passed."""
+        if _SOFT_DEADLINE is not None and monotonic() > _SOFT_DEADLINE:
+            raise SoftTimeoutError(
+                f"soft deadline expired at t={self.now} "
+                f"after {self.events_run} events"
+            )
+
+    def stop(self) -> None:
+        """Make the running :meth:`run` return once the current event's
+        callback has finished; run-ahead is off from here on."""
+        self._stop = True
+        self.ahead_until = -1
+
     def step(self) -> bool:
         """Run the next live event. Returns False if none remain."""
-        heap = self._heap
+        heap = self.heap
         while heap:
             time, _seq, handle = heappop(heap)
             if not handle.cancelled:
@@ -192,7 +221,7 @@ class Engine:
         else:
             return False
         self.now = time
-        self._events_run += 1
+        self.events_run += 1
         self._live -= 1
         # Mark consumed: a late cancel() is a no-op, and owners holding the
         # handle can see it needs no cancellation (one flag test, no call).
@@ -205,56 +234,57 @@ class Engine:
         return True
 
     def run(
-        self,
-        until: int | None = None,
-        max_events: int | None = None,
-        stop_when: Callable[[], bool] | None = None,
+        self, until: int | None = None, max_events: int | None = None
     ) -> None:
-        """Run events until the queue drains, ``until`` passes, or
-        ``stop_when()`` becomes true (checked between events)."""
+        """Run events until the queue drains, ``until`` passes, or a
+        callback calls :meth:`stop`."""
         count = 0
-        heap = self._heap
+        heap = self.heap
         # Hoisted: the hook contract is install-before-run.
         on_event = self.on_event
-        while True:
-            if stop_when is not None and stop_when():
-                return
-            if max_events is not None and count >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events} at t={self.now}; "
-                    "likely a livelock in the simulated system"
-                )
-            if (count & _SOFT_DEADLINE_MASK) == 0 and _SOFT_DEADLINE is not None:
-                if monotonic() > _SOFT_DEADLINE:
-                    raise SoftTimeoutError(
-                        f"soft deadline expired at t={self.now} "
-                        f"after {self._events_run} events"
+        self._stop = False
+        if on_event is None and max_events is None:
+            self.ahead_until = _FOREVER if until is None else until
+        try:
+            while True:
+                if max_events is not None and count >= max_events:
+                    raise SimulationError(
+                        f"exceeded max_events={max_events} at t={self.now}; "
+                        "likely a livelock in the simulated system"
                     )
-            # Inlined step(): pop the next live entry.
-            while heap:
-                t, seq, handle = heappop(heap)
-                if not handle.cancelled:
-                    break
-            else:
-                # Queue empty or fully drained: the run still covers the
-                # whole [now, until] window, so advance the clock to the
-                # bound — same as the not-yet-due path below.
-                if until is not None and until > self.now:
-                    self.now = until
-                return
-            if until is not None and t > until:
-                # Not yet due: put it back.  Its key is unique, so it
-                # keeps its place in the order.
-                heappush(heap, (t, seq, handle))
-                if until > self.now:
-                    self.now = until
-                return
-            self.now = t
-            self._events_run += 1
-            self._live -= 1
-            handle.cancelled = True  # consumed (see step())
-            handle._engine = None
-            handle.fn(*handle.args)
-            if on_event is not None:
-                on_event()
-            count += 1
+                if (not count & DEADLINE_POLL_MASK
+                        and _SOFT_DEADLINE is not None):
+                    self.poll_deadline()
+                # Inlined step(): pop the next live entry.
+                while heap:
+                    t, seq, handle = heappop(heap)
+                    if not handle.cancelled:
+                        break
+                else:
+                    # Queue empty or fully drained: the run still covers
+                    # the whole [now, until] window, so advance the clock
+                    # to the bound — same as the not-yet-due path below.
+                    if until is not None and until > self.now:
+                        self.now = until
+                    return
+                if until is not None and t > until:
+                    # Not yet due: put it back.  Its key is unique, so it
+                    # keeps its place in the order.
+                    heappush(heap, (t, seq, handle))
+                    if until > self.now:
+                        self.now = until
+                    return
+                self.now = t
+                self.events_run += 1
+                self._live -= 1
+                handle.cancelled = True  # consumed (see step())
+                handle._engine = None
+                handle.fn(*handle.args)
+                if on_event is not None:
+                    on_event()
+                if self._stop:
+                    return
+                count += 1
+        finally:
+            self.ahead_until = -1
+            self._stop = False

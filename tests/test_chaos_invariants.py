@@ -129,6 +129,13 @@ def test_nr_blocked_detected():
     expect(chk, "nr-blocked")
 
 
+def test_machine_runnable_count_detected():
+    k, chk = busy_kernel()
+    assert k.queued_runnable.n > 0  # tasks are queued: a real count
+    k.queued_runnable.n += 1  # off by one
+    expect(chk, "nr-runnable")
+
+
 def test_nr_schedulable_detected(monkeypatch):
     k, chk = busy_kernel()
     # Lie at the class level; monkeypatch restores the real method.

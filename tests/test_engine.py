@@ -81,17 +81,23 @@ def test_run_until_stops_clock_at_bound():
     assert fired == [1, 2]
 
 
-def test_stop_when_predicate():
+def test_stop_request():
     e = Engine()
     count = [0]
 
     def bump():
         count[0] += 1
         e.schedule(1, bump)
+        if count[0] == 5:
+            e.stop()
 
     e.schedule(1, bump)
-    e.run(stop_when=lambda: count[0] >= 5)
-    assert count[0] == 5
+    e.run()
+    assert count[0] == 5 and e.now == 5
+    assert e.ahead_until == -1  # run-ahead is off outside run()
+    e.stop()  # outside run(): the next run() is not cut short
+    e.run(until=8)
+    assert count[0] == 8 and e.now == 8
 
 
 def test_max_events_guard():
