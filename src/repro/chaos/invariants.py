@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 from ..config import SEC
 from ..errors import InvariantViolation
 from ..kernel.runqueue import VB_SENTINEL
-from ..kernel.task import TaskState
+from ..kernel.task import EXITED, RUNNABLE, RUNNING, SLEEPING, VBLOCKED
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import Kernel
@@ -141,7 +141,7 @@ class InvariantChecker:
                         task=curr.name,
                     )
                 seen[curr] = ("curr", cpu.id)
-                if curr.state is not TaskState.RUNNING:
+                if curr.state is not RUNNING:
                     fail(
                         "task-placement",
                         f"cpu{cpu.id} current task {curr.name} is "
@@ -217,7 +217,7 @@ class InvariantChecker:
                             task=t.name,
                         )
                 if sentinel:
-                    if t.state is not TaskState.VBLOCKED:
+                    if t.state is not VBLOCKED:
                         fail(
                             "task-placement",
                             f"sentinel-keyed {t.name} is "
@@ -225,7 +225,7 @@ class InvariantChecker:
                             task=t.name,
                             state=t.state.value,
                         )
-                elif t.state is not TaskState.RUNNABLE:
+                elif t.state is not RUNNABLE:
                     fail(
                         "task-placement",
                         f"queued task {t.name} is {t.state.value}, "
@@ -289,7 +289,7 @@ class InvariantChecker:
         live = 0
         for t in k.tasks:
             st = t.state
-            if st is TaskState.EXITED:
+            if st is EXITED:
                 if t in seen:
                     fail(
                         "task-placement",
@@ -300,7 +300,7 @@ class InvariantChecker:
                 continue
             live += 1
             where = seen.get(t)
-            if st is TaskState.RUNNING:
+            if st is RUNNING:
                 if where is None or where[0] != "curr":
                     fail(
                         "task-placement",
@@ -308,14 +308,14 @@ class InvariantChecker:
                         "current task",
                         task=t.name,
                     )
-            elif st is TaskState.RUNNABLE:
+            elif st is RUNNABLE:
                 if where is None or where[0] != "queued":
                     fail(
                         "task-lost",
                         f"runnable task {t.name} is on no runqueue",
                         task=t.name,
                     )
-            elif st is TaskState.VBLOCKED:
+            elif st is VBLOCKED:
                 if where is None or where[0] != "queued":
                     fail(
                         "task-lost",
@@ -330,7 +330,7 @@ class InvariantChecker:
                         f"cpu{where[1]} but vb_cpu={t.vb_cpu}",
                         task=t.name,
                     )
-            elif st is TaskState.SLEEPING:
+            elif st is SLEEPING:
                 if where is not None:
                     fail(
                         "task-placement",
@@ -373,21 +373,21 @@ class InvariantChecker:
                     )
                 wseen.add(tid)
                 st = t.state
-                if st is TaskState.EXITED:
+                if st is EXITED:
                     fail(
                         "futex-waitqueue",
                         f"exited task {t.name} still queued on a futex "
                         "bucket",
                         task=t.name,
                     )
-                elif st is TaskState.SLEEPING and t.block_kind != "sleep":
+                elif st is SLEEPING and t.block_kind != "sleep":
                     fail(
                         "futex-waitqueue",
                         f"sleeping waiter {t.name} has "
                         f"block_kind={t.block_kind!r}",
                         task=t.name,
                     )
-                elif st is TaskState.VBLOCKED and t.block_kind != "vb":
+                elif st is VBLOCKED and t.block_kind != "vb":
                     fail(
                         "futex-waitqueue",
                         f"virtually-blocked waiter {t.name} has "

@@ -35,6 +35,11 @@ class ExecMode(enum.Enum):
     VM = "vm"
 
 
+# ``Kernel.__init__`` tests this member; an enum member lookup in a
+# function body is slow on Python 3.10 and 3.11 (see repro.kernel.task).
+EXEC_VM = ExecMode.VM
+
+
 @dataclass(frozen=True)
 class HardwareConfig:
     """Physical machine model (dual-socket Xeon by default, per the paper)."""

@@ -32,7 +32,7 @@ from ..config import BwdConfig, ProfilingConfig
 from ..hw.lbr import synthesize_lbr_signature
 from ..hw.pmc import synthesize_pmc_miss_free
 from ..kernel.hrtimer import HrTimer
-from ..kernel.task import RunMode, TaskState
+from ..kernel.task import MODE_SPIN, RUNNING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import Kernel
@@ -46,6 +46,14 @@ class WindowKind(enum.Enum):
     SPIN_FULL = "spin-full"  # one task, spinning for the entire window
     SPIN_PARTIAL = "spin-partial"  # spinning at window end, not throughout
     NORMAL = "normal"  # ordinary execution
+
+
+# Bound once: ``_tick`` tests the kind of every core's window each period,
+# and an enum member lookup in a function body is slow on Python 3.10 and
+# 3.11 (see repro.kernel.task).
+WINDOW_SPIN_FULL = WindowKind.SPIN_FULL
+WINDOW_SPIN_PARTIAL = WindowKind.SPIN_PARTIAL
+WINDOW_NORMAL = WindowKind.NORMAL
 
 
 @dataclass
@@ -114,13 +122,13 @@ class BwdMonitor:
 
     # ------------------------------------------------------------------
     def _classify(self, task: "Task", window_start: int) -> WindowKind:
-        if task.mode is RunMode.SPIN:
+        if task.mode is MODE_SPIN:
             ran_all_window = task.on_cpu_since <= window_start
             spun_all_window = task.mode_since <= window_start
             if ran_all_window and spun_all_window:
-                return WindowKind.SPIN_FULL
-            return WindowKind.SPIN_PARTIAL
-        return WindowKind.NORMAL
+                return WINDOW_SPIN_FULL
+            return WINDOW_SPIN_PARTIAL
+        return WINDOW_NORMAL
 
     def _tick(self, now: int) -> None:
         kernel = self._kernel
@@ -135,7 +143,7 @@ class BwdMonitor:
             if task is None:
                 continue
             kind = self._classify(task, window_start)
-            if kind is WindowKind.SPIN_FULL:
+            if kind is WINDOW_SPIN_FULL:
                 self.stats.spin_windows += 1
                 # Boolean fast paths: same RNG draws as materializing the
                 # LBR ring / PMC window, without the object churn (this
@@ -156,7 +164,7 @@ class BwdMonitor:
                         kernel.trace.emit(now, "bwd-detect", cpu_id,
                                           task.name, window=kind.value)
                     self._deschedule(cpu_id, task)
-            elif kind is WindowKind.SPIN_PARTIAL:
+            elif kind is WINDOW_SPIN_PARTIAL:
                 # The LBR shows the spin signature (last branches), but the
                 # PMCs accumulated the pre-spin compute misses — cleared
                 # records mean a partial spin is caught one period later.
@@ -207,7 +215,7 @@ class BwdMonitor:
     def _deschedule(self, cpu_id: int, task: "Task") -> None:
         kernel = self._kernel
         assert kernel is not None
-        if task.state is not TaskState.RUNNING:
+        if task.state is not RUNNING:
             return
         self.stats.deschedules += 1
         task.stats.bwd_deschedules += 1

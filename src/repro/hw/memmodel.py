@@ -58,11 +58,17 @@ class AccessPattern(enum.Enum):
 
     @property
     def sequential(self) -> bool:
-        return self in (AccessPattern.SEQ_R, AccessPattern.SEQ_RMW)
+        return self in _SEQUENTIAL
 
     @property
     def rmw(self) -> bool:
-        return self in (AccessPattern.SEQ_RMW, AccessPattern.RND_RMW)
+        return self in _RMW
+
+
+# Bound once: an enum member lookup in a function body is slow on Python
+# 3.10 and 3.11 (see repro.kernel.task).
+_SEQUENTIAL = (AccessPattern.SEQ_R, AccessPattern.SEQ_RMW)
+_RMW = (AccessPattern.SEQ_RMW, AccessPattern.RND_RMW)
 
 
 @dataclass(frozen=True)

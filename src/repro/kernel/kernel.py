@@ -33,7 +33,7 @@ import math
 import os
 from typing import Any, Generator
 
-from ..config import ExecMode, SimConfig
+from ..config import EXEC_VM, SimConfig
 from ..core.bwd import BwdMonitor
 from ..core.virtual_blocking import VirtualBlockingPolicy
 from ..errors import DeadlockError, ProgramError, SimulationError
@@ -52,7 +52,17 @@ from .hrtimer import HrTimer
 from .locks import SimLockTimeline
 from .policy import SchedPolicy, current_policy, get_policy
 from .runqueue import CfsRunqueue, QueuedRunnable
-from .task import ExecProfile, RunMode, Task, TaskState
+from .task import (
+    EXITED,
+    MODE_COMPUTE,
+    MODE_SPIN,
+    RUNNABLE,
+    RUNNING,
+    SLEEPING,
+    VBLOCKED,
+    ExecProfile,
+    Task,
+)
 
 # Always-on schedstats (PSI counts, runqueue-depth integrals, per-CPU
 # switch counters).  Collection is pure O(1) integer accounting with no
@@ -214,7 +224,7 @@ class Kernel:
             self.bwd.install(self)
         self.ple: PauseLoopExiting | None = None
         self._ple_timer: HrTimer | None = None
-        if config.ple.enabled and config.mode is ExecMode.VM:
+        if config.ple.enabled and config.mode is EXEC_VM:
             self.ple = PauseLoopExiting(config.ple, len(self.cpus))
             self._ple_timer = HrTimer(
                 self.engine,
@@ -336,7 +346,7 @@ class Kernel:
             self._spawn_rr += 1
         cpu = self.cpus[target]
         task.vruntime = cpu.rq.min_vruntime
-        task.set_state(TaskState.RUNNABLE, self.now)
+        task.set_state(RUNNABLE, self.now)
         if self._schedstats:
             self._depth_delta(self.now, 1)
             self._psi_transition(self.now, 1, 0)
@@ -493,7 +503,7 @@ class Kernel:
             evicted: list[Task] = []
             if cpu.rq.curr is not None:
                 task = cpu.rq.curr
-                task.set_state(TaskState.RUNNABLE, self.now)
+                task.set_state(RUNNABLE, self.now)
                 task.stats.nr_switches += 1
                 task.stats.nr_involuntary += 1
                 if self._schedstats:
@@ -549,10 +559,10 @@ class Kernel:
             task.action_remaining = rem if rem > 0 else 0
         # Inlined task.account_state(now) for the running task (this is
         # the single hottest accounting site).
-        if task.state is TaskState.RUNNING:
+        if task.state is RUNNING:
             acct = now - task.state_since
             if acct > 0:
-                if task.mode is RunMode.COMPUTE:
+                if task.mode is MODE_COMPUTE:
                     task.stats.cpu_ns += acct
                 else:
                     task.stats.spin_ns += acct
@@ -617,7 +627,7 @@ class Kernel:
             delay += task.pending_penalty_ns
             cpu.stall_ns += task.pending_penalty_ns
             task.pending_penalty_ns = 0
-        task.set_state(TaskState.RUNNING, now)
+        task.set_state(RUNNING, now)
         # The switch/stall delay is machine overhead, not task CPU time.
         task.state_since = now + delay
         task.cpu = cpu.id
@@ -669,9 +679,9 @@ class Kernel:
             if task.wake_completed:
                 task.wake_completed = False
                 task.block_kind = None
-                if task.mode is RunMode.SPIN:
+                if task.mode is MODE_SPIN:
                     # Back from a spin-then-park wait: normal execution.
-                    task.set_mode(RunMode.COMPUTE, now)
+                    task.set_mode(MODE_COMPUTE, now)
             elif task.action is not None:
                 break
             try:
@@ -737,10 +747,10 @@ class Kernel:
                     rf = cpu.run_factor
                     rem -= elapsed if rf == 1.0 else int(elapsed * rf)
                     task.action_remaining = rem if rem > 0 else 0
-                if task.state is TaskState.RUNNING:
+                if task.state is RUNNING:
                     acct = now - task.state_since
                     if acct > 0:
-                        if task.mode is RunMode.COMPUTE:
+                        if task.mode is MODE_COMPUTE:
                             task.stats.cpu_ns += acct
                         else:
                             task.stats.spin_ns += acct
@@ -794,7 +804,7 @@ class Kernel:
         task = cpu.rq.curr
         assert task is not None
         now = self.engine.now
-        task.set_state(TaskState.RUNNABLE, now)
+        task.set_state(RUNNABLE, now)
         if self._schedstats:
             # Defer the (+1 waiting, -1 running) transition: every
             # caller follows with _schedule at this same timestamp,
@@ -811,7 +821,7 @@ class Kernel:
 
     def _exit_task(self, cpu: CpuState, task: Task) -> None:
         now = self.engine.now
-        task.set_state(TaskState.EXITED, now)
+        task.set_state(EXITED, now)
         task.exited_at = now
         task.cpu = None
         self.live_tasks -= 1
@@ -874,7 +884,7 @@ class Kernel:
         else:
             lock.add_waiter(task)
             task.spin_target = lock
-            task.set_mode(RunMode.SPIN, self.engine.now)
+            task.set_mode(MODE_SPIN, self.engine.now)
             task.action_remaining = None
 
     def _act_spin_release(self, cpu: CpuState, task: Task, action) -> None:
@@ -889,7 +899,7 @@ class Kernel:
         else:
             flag.waiters.append(task)
             task.spin_target = action
-            task.set_mode(RunMode.SPIN, self.engine.now)
+            task.set_mode(MODE_SPIN, self.engine.now)
             task.action_remaining = None
 
     def _act_flag_set(self, cpu: CpuState, task: Task, action) -> None:
@@ -953,8 +963,8 @@ class Kernel:
                 self._continue(cpu)
                 return
             task.action = None
-            if task.mode is RunMode.SPIN:
-                task.set_mode(RunMode.COMPUTE, now)
+            if task.mode is MODE_SPIN:
+                task.set_mode(MODE_COMPUTE, now)
             self._park(cpu, task, kind=task.block_kind)
             return
         # Ordinary completion: continue with the next action in-slice.
@@ -977,11 +987,11 @@ class Kernel:
         if kind == "vb":
             task.thread_state = 1
             task.saved_vruntime = task.vruntime
-            task.set_state(TaskState.VBLOCKED, now)
+            task.set_state(VBLOCKED, now)
             task.vb_cpu = cpu.id
             cpu.rq.enqueue(task)  # tail position via the sentinel key
         else:
-            task.set_state(TaskState.SLEEPING, now)
+            task.set_state(SLEEPING, now)
             task.cpu = None
         cpu.rq.update_min_vruntime()
         if self.trace.enabled:
@@ -1027,7 +1037,7 @@ class Kernel:
         BWD when the window exceeds a monitoring period."""
         cost = self.futex_wait(task, obj)
         if spin_ns > 0:
-            task.set_mode(RunMode.SPIN, self.now)
+            task.set_mode(MODE_SPIN, self.now)
         return cost + max(0, spin_ns)
 
     def futex_waiters(self, obj: Any) -> int:
@@ -1194,7 +1204,7 @@ class Kernel:
         # the home CPU counts one task light. Dropping the discount changes
         # fig10b/cond/{8c,16c}/opt results: a digest change for ROADMAP
         # item 5 (see the xfail test in tests/test_kernel_blocking.py).
-        vb_home = task.vb_cpu if task.state is TaskState.VBLOCKED else None
+        vb_home = task.vb_cpu if task.state is VBLOCKED else None
 
         prev = task.last_cpu
         prev_ok = prev is not None and cpus[prev].online
@@ -1271,12 +1281,13 @@ class Kernel:
             self.balance_migrations += 1
 
     def _finish_wake_vanilla(self, task: Task, target: int | None = None) -> None:
-        if task.state in (TaskState.RUNNING, TaskState.RUNNABLE):
+        state = task.state
+        if state is RUNNING or state is RUNNABLE:
             # Still in (or preempted during) its pre-park window: flag the
             # wake so the park consumes it instead of sleeping.
             task.wake_pending = True
             return
-        if task.state is not TaskState.SLEEPING:
+        if state is not SLEEPING:
             return
         now = self.engine.now
         # Placement decided now, with every earlier wake of the batch
@@ -1290,7 +1301,7 @@ class Kernel:
             self.negative_latency_samples += 1
             blocked_ns = 0
         self._h_block.record(blocked_ns)
-        task.set_state(TaskState.RUNNABLE, now)
+        task.set_state(RUNNABLE, now)
         if self._schedstats:
             self._depth_delta(now, 1)  # sleeping -> queued
             self._psi_transition(now, 1, 0)
@@ -1305,10 +1316,11 @@ class Kernel:
         self._check_preempt(cpu, task)
 
     def _finish_wake_vb(self, task: Task) -> None:
-        if task.state in (TaskState.RUNNING, TaskState.RUNNABLE):
+        state = task.state
+        if state is RUNNING or state is RUNNABLE:
             task.wake_pending = True
             return
-        if task.state is not TaskState.VBLOCKED:
+        if state is not VBLOCKED:
             return
         now = self.engine.now
         cpu = self.cpus[task.vb_cpu]
@@ -1328,7 +1340,7 @@ class Kernel:
             self.negative_latency_samples += 1
             blocked_ns = 0
         self._h_block.record(blocked_ns)
-        task.set_state(TaskState.RUNNABLE, now)
+        task.set_state(RUNNABLE, now)
         if self._schedstats:
             self._psi_transition(now, 1, 0)
         task.block_kind = None
@@ -1353,10 +1365,11 @@ class Kernel:
         """VB wake with core selection (the bucket was under-subscribed):
         clear the flag, move the task from its home queue to the chosen
         CPU's queue."""
-        if task.state in (TaskState.RUNNING, TaskState.RUNNABLE):
+        state = task.state
+        if state is RUNNING or state is RUNNABLE:
             task.wake_pending = True
             return
-        if task.state is not TaskState.VBLOCKED:
+        if state is not VBLOCKED:
             return
         now = self.engine.now
         home = self.cpus[task.vb_cpu]
@@ -1380,7 +1393,7 @@ class Kernel:
             self.negative_latency_samples += 1
             blocked_ns = 0
         self._h_block.record(blocked_ns)
-        task.set_state(TaskState.RUNNABLE, now)
+        task.set_state(RUNNABLE, now)
         if self._schedstats:
             self._psi_transition(now, 1, 0)
         task.block_kind = None
@@ -1397,10 +1410,10 @@ class Kernel:
         self._check_preempt(cpu, task)
 
     def _timer_wake(self, task: Task) -> None:
-        if task.state is TaskState.RUNNING:
+        if task.state is RUNNING:
             task.wake_pending = True
             return
-        if task.state is not TaskState.SLEEPING:
+        if task.state is not SLEEPING:
             return
         target = self._select_wake_cpu(task)
         self._finish_wake_vanilla(task, target)
@@ -1430,11 +1443,11 @@ class Kernel:
         re-check when next dispatched."""
         grant = self.config.user.spin_grant_ns
         for c in candidates:
-            if c.state is TaskState.RUNNING and c.mode is RunMode.SPIN:
+            if c.state is RUNNING and c.mode is MODE_SPIN:
                 self.engine.schedule(grant, self._spin_notify, c)
 
     def _spin_notify(self, task: Task) -> None:
-        if task.state is not TaskState.RUNNING or task.mode is not RunMode.SPIN:
+        if task.state is not RUNNING or task.mode is not MODE_SPIN:
             return
         cpu = self.cpus[task.cpu]
         if cpu.rq.curr is not task:
@@ -1459,7 +1472,7 @@ class Kernel:
                     flag.waiters.remove(task)
         if not satisfied:
             return False
-        task.set_mode(RunMode.COMPUTE, self.now)
+        task.set_mode(MODE_COMPUTE, self.now)
         task.spin_target = None
         task.action_remaining = self.config.user.spin_grant_ns
         self._continue(cpu)
@@ -1484,7 +1497,7 @@ class Kernel:
             task.vruntime = max_vr + 1
         spin_ns = (
             self.engine.now - max(task.mode_since, task.on_cpu_since)
-            if task.mode is RunMode.SPIN else 0
+            if task.mode is MODE_SPIN else 0
         )
         if spin_ns < 0:
             self.negative_latency_samples += 1
@@ -1503,7 +1516,7 @@ class Kernel:
             task = self.cpus[cpu_id].rq.curr
             spinning_with_pause = (
                 task is not None
-                and task.mode is RunMode.SPIN
+                and task.mode is MODE_SPIN
                 and task.profile.spin_uses_pause
             )
             if self.ple.observe(cpu_id, now, spinning_with_pause):
@@ -1579,8 +1592,8 @@ class Kernel:
         if count:
             self._count_migration(task, dest.id, wake=False)
         task.last_cpu = dest.id
-        if task.state is TaskState.RUNNABLE or task.state is TaskState.VBLOCKED:
-            if task.state is TaskState.VBLOCKED:
+        if task.state is RUNNABLE or task.state is VBLOCKED:
+            if task.state is VBLOCKED:
                 task.vb_cpu = dest.id
             dest.rq.enqueue(task)
             self._check_preempt(dest, task)

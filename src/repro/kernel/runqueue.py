@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..util.sortedmap import SortedMap
-from .task import Task, TaskState
+from .task import RUNNABLE, Task
 
 # An hour of virtual runtime: far beyond anything a real task accumulates.
 VB_SENTINEL = 3_600_000_000_000
@@ -221,5 +221,5 @@ class CfsRunqueue:
         return (
             t
             for t in self.tree.values()
-            if t.thread_state == 0 and t.state is TaskState.RUNNABLE
+            if t.thread_state == 0 and t.state is RUNNABLE
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from ..kernel.task import RunMode, TaskState
+from ..kernel.task import MODE_SPIN, VBLOCKED
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import Kernel
@@ -82,13 +82,13 @@ class Sampler:
             )
             self.depth[i].append(cpu.rq.nr_running)
             self.spin[i].append(
-                1 if (curr is not None and curr.mode is RunMode.SPIN) else 0
+                1 if (curr is not None and curr.mode is MODE_SPIN) else 0
             )
         stall = sum(c.stall_ns for c in k.cpus)
         self.stall_delta_ns.append(stall - self._prev_stall)
         self._prev_stall = stall
         self.vb_blocked.append(
-            sum(1 for t in k.tasks if t.state is TaskState.VBLOCKED)
+            sum(1 for t in k.tasks if t.state is VBLOCKED)
         )
         self.bwd_deschedules.append(
             k.bwd.stats.deschedules if k.bwd is not None else 0

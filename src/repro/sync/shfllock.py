@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..errors import ProgramError
+from ..kernel.task import RUNNING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..hw.topology import Topology
@@ -59,9 +60,7 @@ class ShflLock:
             return fast
         self.contended += 1
         window = self.spin_window_ns
-        from ..kernel.task import TaskState
-
-        if self.owner is not None and self.owner.state is not TaskState.RUNNING:
+        if self.owner is not None and self.owner.state is not RUNNING:
             window *= 2
         return fast + sys.futex_wait_spin(task, self, window)
 

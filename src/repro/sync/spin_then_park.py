@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..errors import ProgramError
+from ..kernel.task import RUNNING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import Kernel
@@ -43,9 +44,7 @@ class _SpinThenParkBase:
         window = self.spin_window_ns
         # Lock-holder preemption: when the owner is not on a CPU the spin
         # window is pure waste and typically repeats once before parking.
-        from ..kernel.task import TaskState
-
-        if self.owner is not None and self.owner.state is not TaskState.RUNNING:
+        if self.owner is not None and self.owner.state is not RUNNING:
             window *= 2
         self.spin_ns_total += window
         # Genuinely spin out the window (SPIN mode: burned, BWD-visible),
