@@ -21,9 +21,8 @@ under hostile timing.  This package provides the correctness backstop:
 Activation mirrors the observability layer (:mod:`repro.obs.session`):
 ``with chaos_session(plan):`` installs a :class:`ChaosController` on every
 kernel constructed inside the block.  The invariant checker alone can also
-be enabled without chaos via ``SimConfig.check_invariants`` or the
-``REPRO_CHECK_INVARIANTS=1`` environment variable; it is read-only and
-never perturbs results.
+be enabled without chaos via the ``REPRO_CHECK_INVARIANTS=1`` environment
+variable; it is read-only and never perturbs results.
 """
 
 from __future__ import annotations

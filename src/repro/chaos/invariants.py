@@ -6,6 +6,13 @@ pass is O(cpus + tasks + waiters), so it is subsampled on long runs).  It
 is strictly read-only — it draws no RNG and mutates nothing — so enabling
 it can never change simulation results, only catch corruption.
 
+The interval counts ``engine.events_run``, so milestones the kernel runs
+in place (run-ahead, :mod:`repro.sim.engine`) count toward it too.  The
+engine calls the hook after heap events only, so a check that falls due
+inside a run of inline milestones runs at the next heap-event boundary.
+Run-ahead is exact, so the state there is the one the heap-only path
+reaches after the same events, and every invariant must hold.
+
 Invariant catalog (names appear in :class:`InvariantViolation.invariant`
 and in ``docs/robustness.md``):
 
@@ -72,8 +79,8 @@ class InvariantChecker:
     """Validates kernel state after engine events.
 
     Installed as ``engine.on_event`` by :class:`Kernel` when
-    ``SimConfig.check_invariants`` is set, ``REPRO_CHECK_INVARIANTS=1`` is
-    in the environment, or a chaos session is active.
+    ``REPRO_CHECK_INVARIANTS=1`` is in the environment or a chaos session
+    whose plan checks invariants is active.
     """
 
     def __init__(
@@ -87,18 +94,22 @@ class InvariantChecker:
         self.interval = max(1, interval)
         self.progress_horizon_ns = progress_horizon_ns
         self.deep = deep
-        self.calls = 0
         self.checks = 0
+        self._engine = kernel.engine
+        run = kernel.engine.events_run
+        self._next_check = run - run % self.interval + self.interval
         self._min_vr: dict[int, int] = {}
         self._progress_sig: tuple[int, int] | None = None
         self._progress_at = kernel.engine.now
 
     # ------------------------------------------------------------------
     def on_event(self) -> None:
-        """Engine hook: run a full check every ``interval`` events."""
-        self.calls += 1
-        if self.calls % self.interval:
+        """Engine hook: one full check at the first heap-event boundary at
+        or past each multiple of ``interval`` engine events."""
+        run = self._engine.events_run
+        if run < self._next_check:
             return
+        self._next_check = run - run % self.interval + self.interval
         self.check_now()
 
     def _fail(self, invariant: str, message: str, **details) -> None:

@@ -227,10 +227,6 @@ class SimConfig:
     mode: ExecMode = ExecMode.CONTAINER
     online_cpus: int | None = None  # None = all CPUs in the topology
     seed: int = 2021
-    # Run the kernel invariant checker (repro.chaos.invariants) after
-    # engine events.  Read-only: enabling it never changes results, only
-    # adds checking cost.  Also switchable via REPRO_CHECK_INVARIANTS=1.
-    check_invariants: bool = False
     # Scheduling policy (repro.kernel.policy registry): None defers to the
     # process-wide default (REPRO_POLICY / --policy, "cfs" out of the box).
     policy: str | None = None

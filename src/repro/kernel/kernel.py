@@ -64,14 +64,6 @@ from .task import (
     Task,
 )
 
-# Always-on schedstats (PSI counts, runqueue-depth integrals, per-CPU
-# switch counters).  Collection is pure O(1) integer accounting with no
-# RNG draws and no engine events, so digests are unaffected either way;
-# the flag exists so benchmarks/perf/bench_telemetry.py can measure the
-# overhead delta and the perf gate can hold it under budget.
-SCHEDSTATS = True
-
-
 class CpuState:
     """Per-CPU scheduler state and accounting."""
 
@@ -194,7 +186,7 @@ class Kernel:
         # Schedstats + PSI-style pressure accounting (docs/telemetry.md).
         # ``psi_waiting``/``psi_running`` track runnable-not-running and
         # running task counts; some/full stall time integrates over them.
-        self._schedstats = SCHEDSTATS
+        # Pure O(1) integer accounting: no RNG draws, no engine events.
         self.psi_waiting = 0
         self.psi_running = 0
         self._psi_pending = False  # deferred +1w/-1r from _put_prev_runnable
@@ -256,16 +248,14 @@ class Kernel:
         # Chaos harness (lazy import: repro.chaos pulls in the runner
         # registry for replay bundles).  A chaos_session() block installs a
         # controller on every kernel built inside it; the invariant checker
-        # can also run standalone via config or environment.
+        # can also run standalone via REPRO_CHECK_INVARIANTS.
         self.epolls: dict[int, "EpollInstance"] = {}
         self._chaos = None
         self.invariants = None
         from ..chaos import current_chaos
 
         chaos = current_chaos()
-        check = config.check_invariants or (
-            os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0")
-        )
+        check = os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0")
         interval = None
         horizon = None
         if chaos is not None:
@@ -347,9 +337,8 @@ class Kernel:
         cpu = self.cpus[target]
         task.vruntime = cpu.rq.min_vruntime
         task.set_state(RUNNABLE, self.now)
-        if self._schedstats:
-            self._depth_delta(self.now, 1)
-            self._psi_transition(self.now, 1, 0)
+        self._depth_delta(self.now, 1)
+        self._psi_transition(self.now, 1, 0)
         task.last_cpu = target
         cpu.rq.enqueue(task)
         self._check_preempt(cpu, task)
@@ -449,8 +438,7 @@ class Kernel:
         # counters may change freely with no time accounting, and its
         # checkpoint loop handles arbitrarily long constant spans.  So
         # only predicate flips pay for an update — the call per
-        # transition is measurable at engine event rates
-        # (benchmarks/perf/bench_telemetry.py).
+        # transition is measurable at engine event rates.
         w = self.psi_waiting
         r = self.psi_running
         nw = w + d_wait
@@ -506,10 +494,9 @@ class Kernel:
                 task.set_state(RUNNABLE, self.now)
                 task.stats.nr_switches += 1
                 task.stats.nr_involuntary += 1
-                if self._schedstats:
-                    # Depth integral: net-zero — the task re-enqueues on
-                    # a surviving CPU via _migrate_into below.
-                    self._psi_transition(self.now, 1, -1)
+                # Depth integral: net-zero — the task re-enqueues on a
+                # surviving CPU via _migrate_into below.
+                self._psi_transition(self.now, 1, -1)
                 cpu.rq.curr = None
                 evicted.append(task)
             while cpu.rq.nr_queued:
@@ -610,17 +597,17 @@ class Kernel:
             cpu.sched_ns += sched.context_switch_ns
             task.stats.nr_switches += 1
             cpu.nr_switches += 1
-        if self._schedstats:  # inline _psi_transition (hot path)
-            if self._psi_pending:
-                # Cancels the deferred transition from
-                # _put_prev_runnable at this same timestamp.
-                self._psi_pending = False
-            else:
-                w = self.psi_waiting
-                if w == 1 or self.psi_running == 0:
-                    self._psi_update(now)
-                self.psi_waiting = w - 1
-                self.psi_running += 1
+        # _psi_transition, inlined (hot path).
+        if self._psi_pending:
+            # Cancels the deferred transition from
+            # _put_prev_runnable at this same timestamp.
+            self._psi_pending = False
+        else:
+            w = self.psi_waiting
+            if w == 1 or self.psi_running == 0:
+                self._psi_update(now)
+            self.psi_waiting = w - 1
+            self.psi_running += 1
         if task.pending_penalty_ns:
             # Cache/TLB refill after a migration: the core stalls on memory
             # (counted separately so utilization reflects lost capacity).
@@ -805,15 +792,13 @@ class Kernel:
         assert task is not None
         now = self.engine.now
         task.set_state(RUNNABLE, now)
-        if self._schedstats:
-            # Defer the (+1 waiting, -1 running) transition: every
-            # caller follows with _schedule at this same timestamp,
-            # whose dispatch applies the exact inverse — net-zero on
-            # the counters, and the transient state lasts zero time.
-            # Only _schedule's no-dispatch exits pay it (_psi_flush).
-            # Depth integral: also net-zero — the task re-enqueues on
-            # this same runqueue just below.
-            self._psi_pending = True
+        # Defer the (+1 waiting, -1 running) transition: every caller
+        # follows with _schedule at this same timestamp, whose dispatch
+        # applies the exact inverse — net-zero on the counters, and the
+        # transient state lasts zero time.  Only _schedule's no-dispatch
+        # exits pay it (_psi_flush).  Depth integral: also net-zero — the
+        # task re-enqueues on this same runqueue just below.
+        self._psi_pending = True
         cpu.rq.curr = None
         cpu.last_task = task
         cpu.rq.enqueue(task)
@@ -827,9 +812,8 @@ class Kernel:
         self.live_tasks -= 1
         if not self.live_tasks and self._stop_at_last_exit:
             self.engine.stop()
-        if self._schedstats:
-            self._depth_delta(now, -1)
-            self._psi_transition(now, 0, -1)
+        self._depth_delta(now, -1)
+        self._psi_transition(now, 0, -1)
         cpu.rq.curr = None
         cpu.last_task = task
         if self.trace.enabled:
@@ -978,10 +962,9 @@ class Kernel:
         now = self.engine.now
         task.stats.nr_voluntary += 1
         task.stats.nr_switches += 1
-        if self._schedstats:
-            if kind != "vb":  # VB keeps the task queued: depth unchanged
-                self._depth_delta(now, -1)
-            self._psi_transition(now, 0, -1)
+        if kind != "vb":  # VB keeps the task queued: depth unchanged
+            self._depth_delta(now, -1)
+        self._psi_transition(now, 0, -1)
         cpu.rq.curr = None
         cpu.last_task = task
         if kind == "vb":
@@ -1202,8 +1185,9 @@ class Kernel:
         # task still sits on its home runqueue, but the only VBLOCKED
         # caller, _finish_wake_vb_placed, has already dequeued it there, so
         # the home CPU counts one task light. Dropping the discount changes
-        # fig10b/cond/{8c,16c}/opt results: a digest change for ROADMAP
-        # item 5 (see the xfail test in tests/test_kernel_blocking.py).
+        # fig10b/cond/{8c,16c}/opt results: a digest change for the ROADMAP
+        # item "Close or explain the three catalogued deviations" (see the
+        # xfail test in tests/test_kernel_blocking.py).
         vb_home = task.vb_cpu if task.state is VBLOCKED else None
 
         prev = task.last_cpu
@@ -1302,9 +1286,8 @@ class Kernel:
             blocked_ns = 0
         self._h_block.record(blocked_ns)
         task.set_state(RUNNABLE, now)
-        if self._schedstats:
-            self._depth_delta(now, 1)  # sleeping -> queued
-            self._psi_transition(now, 1, 0)
+        self._depth_delta(now, 1)  # sleeping -> queued
+        self._psi_transition(now, 1, 0)
         task.block_kind = None
         task.wake_completed = True
         task.woken_at = now
@@ -1341,8 +1324,7 @@ class Kernel:
             blocked_ns = 0
         self._h_block.record(blocked_ns)
         task.set_state(RUNNABLE, now)
-        if self._schedstats:
-            self._psi_transition(now, 1, 0)
+        self._psi_transition(now, 1, 0)
         task.block_kind = None
         task.wake_completed = True
         task.woken_at = now
@@ -1394,8 +1376,7 @@ class Kernel:
             blocked_ns = 0
         self._h_block.record(blocked_ns)
         task.set_state(RUNNABLE, now)
-        if self._schedstats:
-            self._psi_transition(now, 1, 0)
+        self._psi_transition(now, 1, 0)
         task.block_kind = None
         task.wake_completed = True
         task.woken_at = now

@@ -86,12 +86,8 @@ def collect(kernel: "Kernel") -> RunStats:
     wake_lat = sum(t.stats.wakeup_latency_ns for t in tasks)
     bwd = kernel.bwd
     kernel.obs_report()  # flush histograms to any enclosing observe()
-    psi_some = psi_full = depth_integral = 0
-    if getattr(kernel, "_schedstats", False):
-        kernel._psi_update(kernel.now)  # settle PSI clocks to "now"
-        psi_some, psi_full = kernel.psi_some_ns, kernel.psi_full_ns
-        kernel._depth_delta(kernel.now, 0)  # settle the depth integral
-        depth_integral = kernel.rq_depth_integral_ns
+    kernel._psi_update(kernel.now)  # settle PSI clocks to "now"
+    kernel._depth_delta(kernel.now, 0)  # settle the depth integral
     extra = tuple(
         (f"hist:{name}", tuple(sorted(hist.summary().items())))
         for name, hist in sorted(kernel.hists.items())
@@ -119,11 +115,11 @@ def collect(kernel: "Kernel") -> RunStats:
         bwd_deschedules=bwd.stats.deschedules if bwd else 0,
         bwd_sensitivity=bwd.stats.sensitivity if bwd else 0.0,
         bwd_specificity=bwd.stats.specificity if bwd else 1.0,
-        psi_some_ns=psi_some,
-        psi_full_ns=psi_full,
+        psi_some_ns=kernel.psi_some_ns,
+        psi_full_ns=kernel.psi_full_ns,
         slice_expiries=sum(t.stats.nr_slice_expiries for t in tasks),
         futex_waits=sum(t.stats.nr_futex_waits for t in tasks),
-        rq_depth_integral_ns=depth_integral,
+        rq_depth_integral_ns=kernel.rq_depth_integral_ns,
         per_cpu=tuple(
             CpuBreakdown(
                 cpu_id=c,

@@ -712,7 +712,7 @@ def _render_table3(p: ReportParams, res: dict, out: TextIO) -> None:
     ), file=out)
 
 
-# ----- Heavy-traffic serving (ROADMAP item 3; beyond the paper) --------
+# ----- Heavy-traffic serving (beyond the paper) ------------------------
 _SERVE_CORES = 4
 _SERVE_WORKERS = 8  # 2x oversubscription on the serving tenant alone
 _SERVE_SAT = SATURATION_RATE

@@ -20,8 +20,12 @@ time was scheduled earlier and comes first), so the callback sets
 ``now = t``, counts it in ``events_run``, polls the soft deadline every
 ``DEADLINE_POLL_MASK + 1`` events, and carries on.  ``run()`` sets
 ``ahead_until`` to its ``until`` and clears it to -1 when it returns;
-it stays -1 while ``on_event`` or ``max_events`` must see every event
-and once :meth:`Engine.stop` is pending.
+it stays -1 under ``max_events``, which must count every event (the
+heap-only path the exactness tests compare against), and once
+:meth:`Engine.stop` is pending.  ``on_event`` runs after heap events
+only: an inline event has no hook call of its own, and the hook after
+the heap event that ran it sees the state the heap-only path reaches
+after the same events.
 """
 
 from __future__ import annotations
@@ -125,8 +129,9 @@ class Engine:
         self._seq = 0  # global schedule counter: the heap's tie-breaker
         self._live = 0  # queued entries not cancelled
         self.events_run = 0
-        # Post-event hook: called (no args) after each fired event.  Used
-        # by the chaos invariant checker; must be installed before run().
+        # Post-event hook: called (no args) after each event popped from
+        # the heap, not after inline ones.  Used by the chaos invariant
+        # checker; must be installed before run().
         self.on_event: Callable[[], None] | None = None
         self.ahead_until = -1  # run-ahead bound; -1: run-ahead is off
         self._stop = False
@@ -243,7 +248,7 @@ class Engine:
         # Hoisted: the hook contract is install-before-run.
         on_event = self.on_event
         self._stop = False
-        if on_event is None and max_events is None:
+        if max_events is None:
             self.ahead_until = _FOREVER if until is None else until
         try:
             while True:

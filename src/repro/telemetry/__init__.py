@@ -2,8 +2,8 @@
 profiles, and the ``repro top`` view (docs/telemetry.md).
 
 Layered strictly *on top of* the kernel/obs stack: the kernel maintains
-cheap always-on counters (``SCHEDSTATS`` in ``kernel/kernel.py``); this
-package snapshots, derives, and exports them.  Nothing here draws RNG
+cheap always-on counters (``kernel/kernel.py``); this package
+snapshots, derives, and exports them.  Nothing here draws RNG
 values or schedules engine events, so results are identical with
 telemetry collection on or off (``tests/test_determinism.py``).
 """

@@ -1,11 +1,10 @@
 """``/proc/schedstat``-style snapshots of a kernel's scheduler counters.
 
-Everything here *reads* accounting the kernel already maintains
-incrementally (``SCHEDSTATS`` in ``kernel/kernel.py``); the only
-mutations are final accounting flushes (PSI integration and runqueue
-depth integrals up to ``now``), which are deterministic and happen after
-the run has produced its results — digests and RNG streams are
-untouched either way.
+Everything here *reads* accounting the kernel always maintains
+incrementally (``kernel/kernel.py``); the only mutations are final
+accounting flushes (PSI integration and runqueue depth integrals up to
+``now``), which are deterministic and happen after the run has produced
+its results — digests and RNG streams are untouched either way.
 
 Per-task rows are keyed by spawn order (a stable per-kernel ordinal),
 not by ``tid``: tids increment across every kernel built in a process,
@@ -104,7 +103,6 @@ def snapshot(kernel: "Kernel") -> dict[str, Any]:
     }
 
     snap = {
-        "schedstats_enabled": kernel._schedstats,
         "machine": machine,
         "pressure": pressure_dict(kernel),
         "cpus": cpus,

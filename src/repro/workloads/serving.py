@@ -1,7 +1,7 @@
 """Heavy-traffic serving scenarios: open-loop bursts, SLOs, colocation.
 
 The paper measured oversubscription with closed-loop, single-tenant
-workloads only.  ROADMAP item 3 stresses the same kernels with the
+workloads only.  This module stresses the same kernels with the
 traffic a production serving fleet actually sees:
 
 * **open-loop arrivals** (:class:`~repro.workloads.loadgen.OpenLoopClients`)

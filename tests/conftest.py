@@ -10,7 +10,8 @@ import pytest
 # Kernel invariant checking is on for the whole suite: every simulation
 # any test runs doubles as a correctness audit.  The checker is read-only,
 # so results — including the fixture matches of test_determinism.py — are
-# unchanged.
+# unchanged, and it leaves the kernel's run-ahead of milestones on, so the
+# suite audits the per-event path production runs take.
 # Respect an explicit opt-out (REPRO_CHECK_INVARIANTS=0) for timing work.
 os.environ.setdefault("REPRO_CHECK_INVARIANTS", "1")
 

@@ -4,12 +4,11 @@ A fixed sample of the quick report's specs must reproduce the committed
 fixture (``benchmarks/fixtures/results-quick.json``) byte for byte in
 every runner configuration that must not change a result: ``jobs`` 1
 and 2, a cold and a warm result cache, per-spec telemetry on
-(``metrics_dir``), a non-CFS process-default policy, and the kernel
-invariant checker off.  The checker's per-event hook turns the kernel's
-run-ahead of milestones off, so the cells without it check the dispatch
-path production runs take.  A change that
-moves a result on purpose regenerates the fixture and EXPERIMENTS.md
-(docs/validation.md) and says why.
+(``metrics_dir``) and a non-CFS process-default policy.  Every cell runs
+under the kernel invariant checker the suite installs, on the same
+dispatch path production runs take.  A change that moves a result on
+purpose regenerates the fixture and EXPERIMENTS.md (docs/validation.md)
+and says why.
 """
 
 from __future__ import annotations
@@ -48,18 +47,15 @@ SAMPLE_IDS = {
 UNSAMPLED_RUNNERS = {"memcached", "serving_open", "serving_closed",
                      "resilience_identity"}
 
-#: cell -> (jobs, cache, metrics_dir, process-default policy, invariant
-#: checker on).  The cache is off, written ("write") or read back warm
-#: ("warm").  The checker is on unless the environment turns it off.
+#: cell -> (jobs, cache, metrics_dir, process-default policy).  The
+#: cache is off, written ("write") or read back warm ("warm").
 CELLS = {
-    "jobs1-cold": (1, None, False, None, True),
-    "jobs2-cold-write": (2, "write", False, None, True),
-    "jobs2-warm": (2, "warm", False, None, True),
-    "jobs2-metrics": (2, None, True, None, True),
-    "jobs1-eevdf-default": (1, None, False, "eevdf", True),
-    "jobs2-eevdf-default": (2, None, False, "eevdf", True),
-    "jobs1-cold-invariants-off": (1, None, False, None, False),
-    "jobs2-cold-invariants-off": (2, None, False, None, False),
+    "jobs1-cold": (1, None, False, None),
+    "jobs2-cold-write": (2, "write", False, None),
+    "jobs2-warm": (2, "warm", False, None),
+    "jobs2-metrics": (2, None, True, None),
+    "jobs1-eevdf-default": (1, None, False, "eevdf"),
+    "jobs2-eevdf-default": (2, None, False, "eevdf"),
 }
 
 
@@ -116,15 +112,11 @@ def default_policy(monkeypatch):
 
 @pytest.mark.parametrize("cell", CELLS)
 def test_sample_reproduces_fixture(cell, sample, default_policy, request,
-                                   tmp_path, monkeypatch):
+                                   tmp_path):
     specs, expected, distinct, instrumented = sample
-    jobs, cache, metrics, policy, invariants = CELLS[cell]
+    jobs, cache, metrics, policy = CELLS[cell]
     if policy is not None:
         default_policy(policy)
-    if not invariants:
-        # In the environment, so spawned workers see it too; monkeypatch
-        # restores it afterwards.
-        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "0")
     if cache == "write":
         _, results, stats = request.getfixturevalue("written_cache")
     else:

@@ -322,7 +322,8 @@ def test_trace_records_park_and_wake(vanilla1):
 @pytest.mark.xfail(
     strict=True,
     reason="_select_wake_cpu discounts a VB-placed task from its home CPU "
-    "after _finish_wake_vb_placed already dequeued it (ROADMAP item 5)",
+    "after _finish_wake_vb_placed already dequeued it (ROADMAP: Close or "
+    "explain the three catalogued deviations)",
 )
 def test_vb_placed_wake_counts_home_cpu_load_once():
     """A VB-placed wake leaves its busy home CPU for an idle one: the task

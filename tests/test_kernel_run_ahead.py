@@ -1,8 +1,8 @@
 """Run-ahead milestones: ``Kernel._cpu_event`` runs a CPU's next milestone
 in place when it comes strictly before every queued event.  These tests
-run with the invariant checker off, because its per-event hook turns
-run-ahead off, and check that the shortcut changes nothing: not the
-results, not the event order, not where a bounded run ends."""
+check that the shortcut changes nothing: not the results, not the event
+order, not where a bounded run ends.  Only ``max_events`` turns it off,
+so it also runs under the invariant checker the suite installs."""
 
 from __future__ import annotations
 
@@ -31,11 +31,6 @@ CONFIGS = {
     "vanilla": lambda: vanilla_config(cores=4, seed=11),
     "vb": lambda: optimized_config(cores=4, seed=11, bwd=False),
 }
-
-
-@pytest.fixture(autouse=True)
-def invariants_off(monkeypatch):
-    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "0")
 
 
 class CountingEngine(Engine):
@@ -108,19 +103,41 @@ def snapshot(k: Kernel) -> dict:
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_run_ahead_is_exact(config):
-    """Results with run-ahead equal those of the heap-only path, which a
-    no-op ``on_event`` hook forces."""
+    """Results with run-ahead equal those of the heap-only path, which
+    ``max_events`` forces."""
     ahead = mixed_kernel(CONFIGS[config](), CountingEngine())
     ahead.run_to_completion()
 
     heap_only = mixed_kernel(CONFIGS[config](), CountingEngine())
-    heap_only.engine.on_event = lambda: None
-    heap_only.run_to_completion()
+    heap_only.run_to_completion(max_events=1 << 30)
 
     assert snapshot(ahead) == snapshot(heap_only)
     # The shortcut was taken: every inline milestone is one event fewer
     # scheduled, while events_run counts it all the same.
     assert ahead.engine.scheduled < heap_only.engine.scheduled
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_invariant_checker_sees_state_reached_inline(config, monkeypatch):
+    """The checker leaves run-ahead on: checks run at heap-event
+    boundaries on state that inline milestones built, so the per-event
+    path the suite audits is the one production takes."""
+    monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
+    k = mixed_kernel(CONFIGS[config](), CountingEngine())
+    chk = k.invariants
+    real_check = chk.check_now
+    at = []
+
+    def check_now():
+        real_check()
+        at.append((k.engine.events_run, k.engine.scheduled))
+
+    chk.check_now = check_now
+    k.run_to_completion()
+    assert k.engine.scheduled < k.engine.events_run  # milestones ran inline
+    assert at and all(run < k.engine.events_run for run, _ in at)
+    # Some check saw more events run than scheduled: inline ones before it.
+    assert any(run > scheduled for run, scheduled in at)
 
 
 def test_split_run_for_ends_where_one_run_does():

@@ -13,7 +13,6 @@ import os
 import pytest
 
 from repro.config import vanilla_config
-from repro.kernel import kernel as kernel_mod
 from repro.kernel.kernel import Kernel
 from repro.obs import observe
 from repro.obs.analyze import analyze_file
@@ -55,29 +54,6 @@ def _run_kernel(cores: int, tasks: int, total_ms: int = 4) -> Kernel:
         k.spawn(_compute_prog(total_ms * MS, MS // 2), name=f"t{i}")
     k.run_to_completion()
     return k
-
-
-# --- schedstats never change results --------------------------------------
-
-
-def _fingerprint(k: Kernel):
-    return (
-        k.now,
-        k.engine.events_run,
-        [(t.name, t.stats.cpu_ns, t.stats.nr_switches) for t in k.tasks],
-    )
-
-
-def test_results_identical_with_schedstats_on_and_off():
-    saved = kernel_mod.SCHEDSTATS
-    try:
-        kernel_mod.SCHEDSTATS = True
-        on = _fingerprint(_run_kernel(2, 8))
-        kernel_mod.SCHEDSTATS = False
-        off = _fingerprint(_run_kernel(2, 8))
-    finally:
-        kernel_mod.SCHEDSTATS = saved
-    assert on == off
 
 
 # --- PSI pressure ----------------------------------------------------------
