@@ -105,12 +105,18 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def on_event(self) -> None:
         """Engine hook: one full check at the first heap-event boundary at
-        or past each multiple of ``interval`` engine events."""
-        run = self._engine.events_run
-        if run < self._next_check:
-            return
-        self._next_check = run - run % self.interval + self.interval
-        self.check_now()
+        or past each multiple of ``interval`` engine events, and the
+        progress check alone at the first one past its horizon, so a
+        stall is reported within one heap event of the horizon however
+        sparse the events are."""
+        engine = self._engine
+        run = engine.events_run
+        if run >= self._next_check:
+            self._next_check = run - run % self.interval + self.interval
+            self.check_now()
+        elif (self.progress_horizon_ns is not None
+              and engine.now - self._progress_at > self.progress_horizon_ns):
+            self._check_progress(self.kernel.live_tasks)
 
     def _fail(self, invariant: str, message: str, **details) -> None:
         k = self.kernel

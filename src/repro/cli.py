@@ -88,7 +88,7 @@ def _serve_resilience_point(args) -> int:
 
     from .chaos import InjectionPlan
     from .runners.parallel import run_serving_open, vanilla_desc
-    from .workloads.serving import SATURATION_RATE
+    from .workloads.serving import DEFAULT_SLO, SATURATION_RATE
 
     resilience = args.resilience
     if resilience and resilience.lstrip().startswith("{"):
@@ -103,8 +103,7 @@ def _serve_resilience_point(args) -> int:
     res = run_serving_open(
         vanilla_desc(4, args.seed), workers=8, rate=rate,
         duration_ms=dur, warmup_ms=warm,
-        slo={"p99_target_us": 400.0, "p999_target_us": 2000.0,
-             "window_ms": 10.0},
+        slo=DEFAULT_SLO.as_dict(),
         resilience=resilience, faults=plan,
     )
     lat = res["latency"] or {}
@@ -875,8 +874,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # argparse checked --backend: the env is bad
         print(f"error: REPRO_BACKEND: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
-    apply_policy_argument(args)
     try:
+        apply_policy_argument(args)
         return args.fn(args)
     except BrokenPipeError:  # e.g. ``python -m repro list | head``
         return 0

@@ -168,7 +168,20 @@ def get_policy(name: str) -> SchedPolicy:
 
 
 def current_policy() -> str:
-    """The process-global default policy name."""
+    """The process-global default policy name: the last
+    :func:`set_default_policy`, else ``REPRO_POLICY``, else ``cfs``.
+
+    The variable is read on first use, not at import, so a bad value is
+    a :class:`ConfigError` for the caller that needs a policy."""
+    global _policy
+    if _policy is None:
+        name = os.environ.get("REPRO_POLICY", "").strip() or "cfs"
+        if name not in POLICIES:
+            raise ConfigError(
+                f"REPRO_POLICY={name!r} is not a registered policy "
+                f"(available: {', '.join(available())})"
+            )
+        _policy = name
     return _policy
 
 
@@ -192,10 +205,15 @@ def add_policy_argument(parser) -> None:
 
 
 def apply_policy_argument(args) -> None:
-    """Honor a parsed ``--policy`` flag (no-op when absent/unset)."""
-    policy = getattr(args, "policy", None)
-    if policy:
-        set_default_policy(policy)
+    """Honor a parsed ``--policy`` flag, else check ``REPRO_POLICY``, if
+    the caller's parser carried the flag.  Raises ConfigError on an
+    unknown name in the environment."""
+    if not hasattr(args, "policy"):
+        return
+    if args.policy:
+        set_default_policy(args.policy)
+    else:
+        current_policy()
 
 
 # ----------------------------------------------------------------------
@@ -237,9 +255,4 @@ def update_policy_table(text: str) -> str:
 # both must exist before the package import runs.
 from . import policies as _policies  # noqa: E402,F401
 
-_policy = os.environ.get("REPRO_POLICY", "cfs").strip() or "cfs"
-if _policy not in POLICIES:  # pragma: no cover - import-time guard
-    raise ValueError(
-        f"REPRO_POLICY={_policy!r} is not a registered policy "
-        f"(available: {', '.join(available())})"
-    )
+_policy: str | None = None  # resolved by current_policy() on first use

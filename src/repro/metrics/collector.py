@@ -54,15 +54,6 @@ class RunStats:
     bwd_deschedules: int
     bwd_sensitivity: float
     bwd_specificity: float
-    # Schedstats/PSI totals (docs/telemetry.md).  Deliberately NOT part of
-    # the digested result surface (runners/parallel._stats_dict) — they
-    # ride along for callers holding the RunStats object, while results
-    # stay byte-identical with telemetry on or off.
-    psi_some_ns: int = 0
-    psi_full_ns: int = 0
-    slice_expiries: int = 0
-    futex_waits: int = 0
-    rq_depth_integral_ns: int = 0
     per_cpu: tuple = ()
     # Auxiliary metrics as nested (key, ((stat, value), ...)) tuples — fully
     # immutable, so the frozen dataclass stays hashable and the value
@@ -86,8 +77,6 @@ def collect(kernel: "Kernel") -> RunStats:
     wake_lat = sum(t.stats.wakeup_latency_ns for t in tasks)
     bwd = kernel.bwd
     kernel.obs_report()  # flush histograms to any enclosing observe()
-    kernel._psi_update(kernel.now)  # settle PSI clocks to "now"
-    kernel._depth_delta(kernel.now, 0)  # settle the depth integral
     extra = tuple(
         (f"hist:{name}", tuple(sorted(hist.summary().items())))
         for name, hist in sorted(kernel.hists.items())
@@ -115,11 +104,6 @@ def collect(kernel: "Kernel") -> RunStats:
         bwd_deschedules=bwd.stats.deschedules if bwd else 0,
         bwd_sensitivity=bwd.stats.sensitivity if bwd else 0.0,
         bwd_specificity=bwd.stats.specificity if bwd else 1.0,
-        psi_some_ns=kernel.psi_some_ns,
-        psi_full_ns=kernel.psi_full_ns,
-        slice_expiries=sum(t.stats.nr_slice_expiries for t in tasks),
-        futex_waits=sum(t.stats.nr_futex_waits for t in tasks),
-        rq_depth_integral_ns=kernel.rq_depth_integral_ns,
         per_cpu=tuple(
             CpuBreakdown(
                 cpu_id=c,

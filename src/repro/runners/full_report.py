@@ -28,7 +28,7 @@ from ..exitcodes import EXIT_FIDELITY_VIOLATION, EXIT_PARTIAL
 from ..hw.memmodel import AccessPattern
 from ..metrics.stats import LatencySummary
 from ..workloads.profiles import SUITE, SyncKind, fig9_profiles
-from ..workloads.serving import SATURATION_RATE
+from ..workloads.serving import DEFAULT_SLO, SATURATION_RATE
 from .parallel import (
     DEFAULT_CACHE_DIR,
     DEFAULT_TIMEOUT_S,
@@ -716,8 +716,7 @@ def _render_table3(p: ReportParams, res: dict, out: TextIO) -> None:
 _SERVE_CORES = 4
 _SERVE_WORKERS = 8  # 2x oversubscription on the serving tenant alone
 _SERVE_SAT = SATURATION_RATE
-_SERVE_SLO = {"p99_target_us": 400.0, "p999_target_us": 2000.0,
-              "window_ms": 10.0}
+_SERVE_SLO = DEFAULT_SLO.as_dict()
 _SERVE_OPEN_LOADS = (("0.5x", 0.5), ("0.9x", 0.9), ("1.2x", 1.2))
 _SERVE_RATIOS = (("1x", 4), ("4x", 16))
 _SERVE_CLOSED = (("low", 16), ("high", 96))
@@ -826,7 +825,7 @@ def _specs_resil(p: ReportParams, van: dict, common: dict) -> list[ExperimentSpe
     admission control and the circuit breaker against the same overload;
     ``crash`` kills worker 0 mid-run under a retry-budget client and
     reports time-to-recovery; ``colo`` runs the ``full`` preset beside
-    the batch tenant; ``identity`` pins the default-off guarantee.
+    the batch tenant.
     """
     warm = common["warmup_ms"]
     overload = _SERVE_SAT * 1.2
@@ -857,14 +856,6 @@ def _specs_resil(p: ReportParams, van: dict, common: dict) -> list[ExperimentSpe
         params={"config": van, "workers": _SERVE_WORKERS,
                 "rate": _SERVE_COLO_RATE, "batch_kernel": "cg",
                 "batch_threads": 16, "resilience": "full", **common},
-        seed=p.seed,
-    ))
-    specs.append(ExperimentSpec(
-        id="serve/resil/identity",
-        runner="resilience_identity",
-        params={"config": van, "workers": _SERVE_WORKERS,
-                "rate": _SERVE_SAT * 0.9,
-                "duration_ms": 30.0, "warmup_ms": 5.0},
         seed=p.seed,
     ))
     return specs
@@ -955,11 +946,6 @@ def _render_serve(p: ReportParams, res: dict, out: TextIO) -> None:
         title="overload resilience (1.2x overload; crash point at 0.5x)",
         float_fmt="{:.2f}",
     ), file=out)
-    ident = res["serve/resil/identity"]
-    print(f"resilience-off identity: "
-          f"{'byte-identical' if ident['identical'] else 'DIVERGED'} "
-          f"(plain {ident['digest_plain'][:12]} vs "
-          f"policy-off {ident['digest_policy_off'][:12]})\n", file=out)
 
 
 _SCHED_LOADS = (("1x", 8), ("4x", 32))

@@ -66,6 +66,7 @@ from ..workloads.microbench import (
 from ..workloads.pipeline import spin_pipeline_run
 from ..workloads.profiles import SUITE, Group, SyncKind
 from ..workloads.serving import (
+    DEFAULT_SLO,
     ServingConfig,
     SloPolicy,
     closed_loop_serve,
@@ -301,8 +302,7 @@ def _serving_args(rate, workers: int, slo: dict | None):
     sched = (schedule_from_desc(rate) if isinstance(rate, dict)
              else float(rate))
     sc = ServingConfig(workers=workers)
-    policy = SloPolicy.from_dict(slo) if slo else SloPolicy(
-        p99_target_us=400.0, p999_target_us=2_000.0)
+    policy = SloPolicy.from_dict(slo) if slo else DEFAULT_SLO
     return sched, sc, policy
 
 
@@ -342,38 +342,6 @@ def run_serving_colo(config: dict, workers: int, rate,
                           batch_threads=batch_threads,
                           duration_ms=duration_ms, warmup_ms=warmup_ms,
                           slo=policy, resilience=resilience, faults=faults)
-
-
-def run_resilience_identity(config: dict, workers: int, rate,
-                            duration_ms: float = 30.0,
-                            warmup_ms: float = 5.0) -> dict:
-    """The resilience-off byte-identity check, as a runner.
-
-    Runs the same open-loop serving point twice — once through the plain
-    path (``resilience=None``) and once with an explicitly *inactive*
-    default :class:`~repro.resilience.policy.ResiliencePolicy` — and
-    digests both result dicts.  The layer's default-off guarantee says
-    the two must be byte-identical; ``identical_pct`` is 100.0 when they
-    are, so a fidelity spec can pin it to the band ``(100, 100)``.
-    """
-    from ..resilience import ResiliencePolicy
-
-    plain = run_serving_open(config, workers, rate,
-                             duration_ms=duration_ms, warmup_ms=warmup_ms)
-    off = run_serving_open(config, workers, rate,
-                           duration_ms=duration_ms, warmup_ms=warmup_ms,
-                           resilience=ResiliencePolicy().as_dict())
-    d_plain = hashlib.sha256(
-        canonical_json(plain).encode("utf-8")).hexdigest()
-    d_off = hashlib.sha256(
-        canonical_json(off).encode("utf-8")).hexdigest()
-    return {
-        "digest_plain": d_plain,
-        "digest_policy_off": d_off,
-        "identical": d_plain == d_off,
-        "identical_pct": 100.0 if d_plain == d_off else 0.0,
-        "completed": plain["completed"],
-    }
 
 
 def run_spin_pipeline(algorithm: str, nthreads: int, config: dict,
@@ -445,7 +413,6 @@ RUNNERS: dict[str, Callable[..., dict]] = {
     "serving_open": run_serving_open,
     "serving_closed": run_serving_closed,
     "serving_colo": run_serving_colo,
-    "resilience_identity": run_resilience_identity,
     "spin_pipeline": run_spin_pipeline,
     "table2_tp": run_table2_tp,
     "table3_fp": run_table3_fp,
@@ -566,10 +533,6 @@ _COST_HINTS: dict[str, Callable[[dict], float]] = {
     "serving_colo": lambda p: (
         (_rate_of(p.get("rate")) / 1e4 + p.get("batch_threads", 16))
         * p.get("duration_ms", 100.0) / 100.0
-    ),
-    # Identity runs the same open-loop point twice (plain + policy-off).
-    "resilience_identity": lambda p: (
-        2 * _rate_of(p.get("rate")) / 1e4 * p.get("duration_ms", 30.0) / 30.0
     ),
     "table2_tp": lambda p: float(p.get("duration_ms", 50.0)),
     "table3_fp": lambda p: (

@@ -542,10 +542,6 @@ def _resil_colo_parity(r: Results) -> float:
     return guarded["progress_actions"] / plain["progress_actions"]
 
 
-def _resil_identity_pct(r: Results) -> float:
-    return float(r.result("serve/resil/identity")["identical_pct"])
-
-
 # ----- Scheduler telemetry (beyond the paper) ------------------------
 def _psi_some_avg(spec_id: str) -> Callable[[Results], float]:
     """Whole-run PSI 'cpu some' fraction of one spec's primary kernel."""
@@ -1044,13 +1040,6 @@ SPECS: list[FidelitySpec] = [
               "tenant (guarded/plain colocation batch progress)",
         paper="no batch sacrifice", unit="x",
         extract=_resil_colo_parity, band=(0.8, None),
-    ),
-    _spec(
-        id="serve/resil-default-off-identity", section="serve",
-        title="an inactive resilience policy is byte-identical to the "
-              "plain serving path",
-        paper="zero-cost when off", unit="%", fmt="{:.0f}",
-        extract=_resil_identity_pct, band=(100.0, 100.0),
     ),
     # ----- Scheduler policies (beyond the paper) ---------------------
     # The pluggable-policy layer (docs/scheduling.md).

@@ -1,11 +1,13 @@
 """Reusable client load generation (the mutilate role).
 
-Server workloads (memcached, serving) share the same client model:
-a population of connections, each looping *send request → wait for the
-response → think → send again* (closed loop), with exponential think times
-so the offered load is bursty.  :class:`ClosedLoopClients` owns that loop
-and the latency bookkeeping; servers call :meth:`complete` when a request
-finishes and the next one is scheduled automatically.
+The serving scenarios (:mod:`repro.workloads.serving`) drive their epoll
+server with these clients; the paper's memcached figure keeps its own,
+simpler closed loop in :mod:`repro.workloads.memcached`.
+:class:`ClosedLoopClients` is a population of connections, each looping
+*send request → wait for the response → think → send again*, with
+exponential think times so the offered load is bursty; servers call
+:meth:`~_Clients.complete` when a request finishes and the next one is
+scheduled automatically.
 
 An open-loop variant (:class:`OpenLoopClients`) fires requests at a
 Poisson rate regardless of completions — the configuration that exposes
@@ -268,7 +270,7 @@ class RateSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Latency bookkeeping shared by both client classes
+# The client core shared by both loop shapes
 # ---------------------------------------------------------------------------
 
 class _LatencyBook:
@@ -295,37 +297,27 @@ class _LatencyBook:
         return summarize_latencies(self.latencies_us)
 
 
-class ClosedLoopClients:
-    """``connections`` clients in a think/send loop.
+class _Clients:
+    """What both loop shapes share: the ingress, the payload draw, the
+    RNG stream, the latency book and the in-flight discipline.
 
     ``submit(request)`` is the server's ingress (e.g. an epoll post);
     the server must call :meth:`complete` exactly once per request.
     ``payload_fn`` draws the request payload (request kind, key, ...).
+    Subclasses say what a connection does once its request is done
+    (:meth:`_after`).
     """
-
-    # Floor on the initial stagger window: ~1 us of spread per connection,
-    # so a tiny think time cannot arm the whole population at t=0 (a
-    # thundering herd no real client fleet produces).
-    _MIN_STAGGER_PER_CONN_NS = 1_000
 
     def __init__(
         self,
         kernel: Kernel,
         submit: Callable[[ClientRequest], None],
-        connections: int,
-        think_ns: int,
-        payload_fn: Callable[[np.random.Generator], Any] | None = None,
-        warmup_ns: int = 0,
-        rng_name: str = "loadgen",
+        payload_fn: Callable[[np.random.Generator], Any] | None,
+        warmup_ns: int,
+        rng_name: str,
     ):
-        if connections < 1:
-            raise ValueError("need at least one connection")
-        if think_ns < 0:
-            raise ValueError("think time must be >= 0")
         self.kernel = kernel
         self.submit = submit
-        self.connections = connections
-        self.think_ns = think_ns
         self.payload_fn = payload_fn or (lambda rng: None)
         self.rng = kernel.rng_streams.stream(rng_name)
         self.book = _LatencyBook(kernel, warmup_ns)
@@ -340,40 +332,20 @@ class ClosedLoopClients:
         self.duplicate_completions = 0
         self.cancelled = 0
 
-    def start(self) -> None:
-        """Arm every connection with a staggered first request.
+    def _send(self, conn: int) -> None:
+        self.sent += 1
+        if self.book.in_measured_window():
+            self.sent_measured += 1
+        req = ClientRequest(conn, self.kernel.now, self.payload_fn(self.rng))
+        self._inflight[id(req)] = req
+        self.submit(req)
 
-        The stagger window is at least one mean think time *and* at least
-        ``_MIN_STAGGER_PER_CONN_NS`` per connection — with a small think
-        time the old ``integers(0, think_ns)`` draw armed every connection
-        at (nearly) the same instant.  One draw per connection, in
-        connection order, exactly as before, so RNG consumption (and
-        therefore every downstream draw) is unchanged whenever
-        ``think_ns`` already dominates.
-        """
-        spread = max(
-            1,
-            self.think_ns,
-            self.connections * self._MIN_STAGGER_PER_CONN_NS,
-        )
-        for conn in range(self.connections):
-            self._arm(conn, int(self.rng.integers(0, spread)))
-
-    def _arm(self, conn: int, delay_ns: int) -> None:
-        def fire():
-            self.sent += 1
-            if self.book.in_measured_window():
-                self.sent_measured += 1
-            req = ClientRequest(
-                conn, self.kernel.now, self.payload_fn(self.rng)
-            )
-            self._inflight[id(req)] = req
-            self.submit(req)
-
-        self.kernel.engine.schedule(max(0, delay_ns), fire)
+    def _after(self, conn: int) -> None:
+        """Connection ``conn``'s request is done (completed or failed)."""
 
     def complete(self, request: ClientRequest) -> bool:
-        """Server-side completion hook: record latency, think, resend.
+        """Server-side completion hook: record the latency, then
+        :meth:`_after`.
 
         Returns False (and books nothing, re-arms nothing) for a request
         that is not in flight — a duplicate completion or one arriving
@@ -382,16 +354,16 @@ class ClosedLoopClients:
             self.duplicate_completions += 1
             return False
         self.book.record(request.arrival_ns)
-        self._arm(request.conn, int(self.rng.exponential(self.think_ns)))
+        self._after(request.conn)
         return True
 
     def fail(self, request: ClientRequest) -> None:
-        """A logical request gave up for good (resilience layer): the
-        connection thinks and re-arms, but nothing is booked."""
+        """A logical request gave up for good (resilience layer): nothing
+        is booked, but the connection moves on as after a completion."""
         if self._inflight.pop(id(request), None) is None:
             return
         self.failed += 1
-        self._arm(request.conn, int(self.rng.exponential(self.think_ns)))
+        self._after(request.conn)
 
     def cancel_in_flight(self) -> int:
         """Drop every outstanding request at end of run; late completions
@@ -422,51 +394,90 @@ class ClosedLoopClients:
         return self.sent_measured / (measured_ns / 1e9)
 
 
-class OpenLoopClients:
+class ClosedLoopClients(_Clients):
+    """``connections`` clients in a think/send loop: a completed or
+    failed request's connection thinks, then sends again."""
+
+    # Floor on the initial stagger window: ~1 us of spread per connection,
+    # so a tiny think time cannot arm the whole population at t=0 (a
+    # thundering herd no real client fleet produces).
+    _MIN_STAGGER_PER_CONN_NS = 1_000
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        submit: Callable[[ClientRequest], None],
+        connections: int,
+        think_ns: int,
+        payload_fn: Callable[[np.random.Generator], Any] | None = None,
+        warmup_ns: int = 0,
+        rng_name: str = "loadgen",
+    ):
+        if connections < 1:
+            raise ValueError("need at least one connection")
+        if think_ns < 0:
+            raise ValueError("think time must be >= 0")
+        super().__init__(kernel, submit, payload_fn, warmup_ns, rng_name)
+        self.connections = connections
+        self.think_ns = think_ns
+
+    def start(self) -> None:
+        """Arm every connection with a staggered first request.
+
+        The stagger window is at least one mean think time *and* at least
+        ``_MIN_STAGGER_PER_CONN_NS`` per connection — with a small think
+        time the old ``integers(0, think_ns)`` draw armed every connection
+        at (nearly) the same instant.  One draw per connection, in
+        connection order, exactly as before, so RNG consumption (and
+        therefore every downstream draw) is unchanged whenever
+        ``think_ns`` already dominates.
+        """
+        spread = max(
+            1,
+            self.think_ns,
+            self.connections * self._MIN_STAGGER_PER_CONN_NS,
+        )
+        for conn in range(self.connections):
+            self.kernel.engine.schedule(
+                int(self.rng.integers(0, spread)), self._send, conn
+            )
+
+    def _after(self, conn: int) -> None:
+        self.kernel.engine.schedule(
+            int(self.rng.exponential(self.think_ns)), self._send, conn
+        )
+
+
+class OpenLoopClients(_Clients):
     """Poisson arrivals, independent of completions.
 
     ``rate`` is either requests/second (homogeneous Poisson) or a
     :class:`RateSchedule` (modulated Poisson via Lewis-Shedler thinning:
     candidate gaps are drawn at the schedule's peak rate and accepted with
     probability ``rate(t)/peak``, which preserves determinism for any
-    profile shape).
+    profile shape).  A completion or failure only changes the accounting.
     """
 
     def __init__(
         self,
         kernel: Kernel,
         submit: Callable[[ClientRequest], None],
-        rate_per_sec: float | RateSchedule | None = None,
+        rate_per_sec: float | RateSchedule,
         payload_fn: Callable[[np.random.Generator], Any] | None = None,
         warmup_ns: int = 0,
         rng_name: str = "loadgen-open",
-        schedule: RateSchedule | None = None,
     ):
-        if schedule is not None and rate_per_sec is not None:
-            raise ValueError("pass rate_per_sec or schedule, not both")
-        if schedule is None:
-            if isinstance(rate_per_sec, RateSchedule):
-                schedule = rate_per_sec
-            else:
-                if rate_per_sec is None or rate_per_sec <= 0:
-                    raise ValueError("rate must be positive")
-                schedule = RateSchedule(float(rate_per_sec))
-        self.kernel = kernel
-        self.submit = submit
+        if isinstance(rate_per_sec, RateSchedule):
+            schedule = rate_per_sec
+        else:
+            if rate_per_sec <= 0:
+                raise ValueError("rate must be positive")
+            schedule = RateSchedule(float(rate_per_sec))
+        super().__init__(kernel, submit, payload_fn, warmup_ns, rng_name)
         self.schedule = schedule
-        self.payload_fn = payload_fn or (lambda rng: None)
-        self.rng = kernel.rng_streams.stream(rng_name)
-        self.book = _LatencyBook(kernel, warmup_ns)
-        self.sent = 0
-        self.sent_measured = 0
         self._conn = 0
         self._stopped = False
         self._t0 = 0
-        # Same in-flight discipline as the closed loop (see there).
-        self._inflight: dict[int, ClientRequest] = {}
-        self.failed = 0
-        self.duplicate_completions = 0
-        self.cancelled = 0
         # Constant schedules keep the direct single-draw path (identical
         # RNG consumption to the pre-schedule implementation).
         self._constant = schedule.is_constant
@@ -556,54 +567,5 @@ class OpenLoopClients:
         if self._stopped:
             return
         self._conn += 1
-        self.sent += 1
-        if self.book.in_measured_window():
-            self.sent_measured += 1
-        req = ClientRequest(
-            self._conn, self.kernel.now, self.payload_fn(self.rng)
-        )
-        self._inflight[id(req)] = req
-        self.submit(req)
+        self._send(self._conn)
         self._schedule_next()
-
-    def complete(self, request: ClientRequest) -> bool:
-        """Book one completion; False for duplicates / cancelled requests
-        (see :meth:`ClosedLoopClients.complete`)."""
-        if self._inflight.pop(id(request), None) is None:
-            self.duplicate_completions += 1
-            return False
-        self.book.record(request.arrival_ns)
-        return True
-
-    def fail(self, request: ClientRequest) -> None:
-        """A logical request gave up for good: arrivals are independent
-        of completions, so only the accounting changes."""
-        if self._inflight.pop(id(request), None) is not None:
-            self.failed += 1
-
-    def cancel_in_flight(self) -> int:
-        """Drop every outstanding request at end of run; late completions
-        become counted duplicates instead of phantom samples."""
-        n = len(self._inflight)
-        self._inflight.clear()
-        self.cancelled += n
-        return n
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._inflight)
-
-    @property
-    def completed(self) -> int:
-        return self.book.completed
-
-    def latency_summary(self) -> LatencySummary:
-        return self.book.summary()
-
-    def throughput_ops(self, measured_ns: int) -> float:
-        """Goodput: post-warmup completions over the measured window."""
-        return self.book.completed / (measured_ns / 1e9)
-
-    def offered_ops(self, measured_ns: int) -> float:
-        """Offered load: post-warmup sends over the same window."""
-        return self.sent_measured / (measured_ns / 1e9)

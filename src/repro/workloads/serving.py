@@ -240,11 +240,10 @@ def _spawn_server(kernel: Kernel, sc: ServingConfig, finish,
                   guard=None) -> list:
     """Spawn the epoll worker pool; returns the per-worker epoll list.
 
-    Without a guard this is the pristine worker loop (default serving
-    runs must stay byte-identical).  With a
-    :class:`~repro.resilience.server.ServerGuard` each worker also
-    honors CoDel shedding, tenant-slowdown scaling, degraded (half-open
-    probe) responses, and crash-and-restart faults.
+    With a :class:`~repro.resilience.server.ServerGuard` each worker also
+    honors crash-and-restart faults, tenant-slowdown scaling, CoDel
+    shedding and degraded (half-open probe) responses; without one it
+    consults nothing beyond its batch.
     """
     epolls = [EpollInstance(f"srv{i}.ep") for i in range(sc.workers)]
     locks = [Mutex(f"srv.hash{j}") for j in range(sc.lock_stripes)]
@@ -256,61 +255,46 @@ def _spawn_server(kernel: Kernel, sc: ServingConfig, finish,
     stripes = sc.lock_stripes
     # The server's connection/table state is cache-heavy, like memcached.
     profile = ExecProfile(migration_weight=4.0)
-
-    if guard is None:
-        def worker(i: int):
-            wait = EpollWait(epolls[i])
-            while True:
-                batch = yield wait
-                for req in batch:
-                    yield act_parse
-                    bucket = req.payload % stripes
-                    yield act_acquire[bucket]
-                    yield act_work
-                    yield act_release[bucket]
-                    yield act_respond
-                    finish(req)
-
-        for i in range(sc.workers):
-            kernel.spawn(worker(i), name=f"srv.worker{i}", profile=profile)
-        return epolls
-
-    policy = guard.policy
-    frac = policy.degraded_cost_frac if policy is not None else 0.25
-    act_respond_cheap = Compute(max(1, int(sc.respond_ns * frac)))
+    if guard is not None:
+        policy = guard.policy
+        frac = policy.degraded_cost_frac if policy is not None else 0.25
+        act_respond_cheap = Compute(max(1, int(sc.respond_ns * frac)))
 
     def worker(i: int):
         wait = EpollWait(epolls[i])
+        act_slow = act_work
         while True:
             batch = yield wait
-            if guard.worker_crashes_now(i):
-                guard.note_crash(i, batch)
-                return  # the task dies; guard schedules the respawn
-            scale = guard.work_scale(kernel.now)
-            act_slow = (act_work if scale == 1.0
-                        else Compute(max(1, int(sc.work_cs_ns * scale))))
+            if guard is not None:
+                if guard.worker_crashes_now(i):
+                    guard.note_crash(i, batch)
+                    return  # the task dies; guard schedules the respawn
+                scale = guard.work_scale(kernel.now)
+                act_slow = (act_work if scale == 1.0
+                            else Compute(max(1, int(sc.work_cs_ns * scale))))
             for req in batch:
-                if not guard.serve_ok(req, kernel.now):
+                if guard is not None and not guard.serve_ok(req, kernel.now):
                     continue  # CoDel shed at dequeue: silently dropped
                 yield act_parse
                 bucket = req.payload % stripes
                 yield act_acquire[bucket]
                 yield act_slow
                 yield act_release[bucket]
-                if getattr(req, "degraded", False):
+                if guard is not None and getattr(req, "degraded", False):
                     yield act_respond_cheap
                 else:
                     yield act_respond
                 finish(req)
 
-    restarts = [0]
+    if guard is not None:
+        restarts = [0]
 
-    def respawn(i: int) -> None:
-        restarts[0] += 1
-        kernel.spawn(worker(i), name=f"srv.worker{i}.r{restarts[0]}",
-                     profile=profile)
+        def respawn(i: int) -> None:
+            restarts[0] += 1
+            kernel.spawn(worker(i), name=f"srv.worker{i}.r{restarts[0]}",
+                         profile=profile)
 
-    guard.respawn = respawn
+        guard.respawn = respawn
     for i in range(sc.workers):
         kernel.spawn(worker(i), name=f"srv.worker{i}", profile=profile)
     return epolls
@@ -318,7 +302,6 @@ def _spawn_server(kernel: Kernel, sc: ServingConfig, finish,
 
 def _serve_result(kernel: Kernel, clients, tracker: SloTracker,
                   measured_ns: int, resilience: dict | None = None) -> dict:
-    tracker.close()
     summary = (clients.latency_summary().as_dict()
                if clients.completed else None)
     stats = collect(kernel)
@@ -448,54 +431,66 @@ class _ResilienceRig:
         return block
 
 
-def _drive(kernel: Kernel, sc: ServingConfig, make_clients, tenant: str,
+def _drive(sim_config: SimConfig, sc: ServingConfig | None, make_clients,
            slo: SloPolicy, duration_ms: float, warmup_ms: float,
-           policy=None, faults=None) -> dict:
-    """Shared open/closed-loop driver for a single-tenant server."""
-    horizon = int(duration_ms * MS)
-    warmup = int(warmup_ms * MS)
-    tracker = SloTracker(kernel, tenant, slo, warmup_ns=warmup)
-    box: list = [None]
-    rig = _ResilienceRig.build(kernel, policy, faults, tracker)
+           resilience=None, faults=None) -> dict:
+    """The one serving driver: build the kernel, spawn the server, let
+    ``make_clients(kernel, submit=, payload_fn=, warmup_ns=)`` build the
+    load generator (and any other tenant), run the horizon and tear down.
+    """
+    sc = sc or ServingConfig()
+    policy, plan, ctx = _resolve_serving_knobs(resilience, faults)
+    with ctx:
+        kernel = Kernel(sim_config)
+        horizon = int(duration_ms * MS)
+        warmup = int(warmup_ms * MS)
+        tracker = SloTracker(kernel, "serve", slo, warmup_ns=warmup)
+        box: list = [None]
+        rig = _ResilienceRig.build(kernel, policy, plan, tracker)
 
-    def finish(req) -> None:
-        clients = box[0]
-        if rig is not None:
-            req = rig.finish(req)
-            if req is None:
+        def finish(req) -> None:
+            clients = box[0]
+            if rig is not None:
+                req = rig.finish(req)
+                if req is None:
+                    return
+            lat = kernel.now - req.arrival_ns
+            if not clients.complete(req):
                 return
-        lat = kernel.now - req.arrival_ns
-        if not clients.complete(req):
-            return
-        if clients.book.in_measured_window():
-            tracker.record(lat)
+            if clients.book.in_measured_window():
+                tracker.record(lat)
 
-    epolls = _spawn_server(kernel, sc, finish,
-                           guard=None if rig is None else rig.guard)
+        epolls = _spawn_server(kernel, sc, finish,
+                               guard=None if rig is None else rig.guard)
 
-    if rig is None:
-        def submit(req) -> None:
-            kernel.epoll_post(epolls[req.conn % sc.workers], req)
-    else:
-        rig.guard.attach(epolls)
-        rig.bind(lambda req: epolls[req.conn % sc.workers])
-        submit = rig.submit
+        if rig is None:
+            def submit(req) -> None:
+                kernel.epoll_post(epolls[req.conn % sc.workers], req)
+        else:
+            rig.guard.attach(epolls)
+            rig.bind(lambda req: epolls[req.conn % sc.workers])
+            submit = rig.submit
 
-    clients = make_clients(submit, warmup)
-    box[0] = clients
-    if rig is not None and rig.client is not None:
-        rig.client.on_fail = clients.fail
-    clients.start()
-    kernel.run_for(horizon)
-    if isinstance(clients, OpenLoopClients):
-        clients.stop()
-    if rig is not None:
-        rig.close()
-    clients.cancel_in_flight()
-    kernel.shutdown()
-    tracker.close()  # before rig.result(): recovery walks the window log
-    return _serve_result(kernel, clients, tracker, horizon - warmup,
-                         resilience=None if rig is None else rig.result())
+        stripes = sc.lock_stripes
+        clients = make_clients(
+            kernel, submit=submit,
+            payload_fn=lambda rng: int(rng.integers(0, stripes)),
+            warmup_ns=warmup,
+        )
+        box[0] = clients
+        if rig is not None and rig.client is not None:
+            rig.client.on_fail = clients.fail
+        clients.start()
+        kernel.run_for(horizon)
+        if isinstance(clients, OpenLoopClients):
+            clients.stop()
+        if rig is not None:
+            rig.close()
+        clients.cancel_in_flight()
+        kernel.shutdown()
+        tracker.close()  # before rig.result(): recovery walks the window log
+        return _serve_result(kernel, clients, tracker, horizon - warmup,
+                             resilience=None if rig is None else rig.result())
 
 
 def _resolve_serving_knobs(resilience, faults):
@@ -537,18 +532,11 @@ def open_loop_serve(
     faults=None,
 ) -> dict:
     """One open-loop serving run: Poisson (or scheduled) arrivals."""
-    sc = sc or ServingConfig()
-    policy, plan, ctx = _resolve_serving_knobs(resilience, faults)
-    with ctx:
-        kernel = Kernel(sim_config)
-        payload = _payload_fn(sc.lock_stripes)
+    def make_clients(kernel, **kw):
+        return OpenLoopClients(kernel, rate_per_sec=rate, **kw)
 
-        def make_clients(submit, warmup):
-            return OpenLoopClients(kernel, submit, rate_per_sec=rate,
-                                   payload_fn=payload, warmup_ns=warmup)
-
-        return _drive(kernel, sc, make_clients, "serve", slo,
-                      duration_ms, warmup_ms, policy=policy, faults=plan)
+    return _drive(sim_config, sc, make_clients, slo, duration_ms,
+                  warmup_ms, resilience, faults)
 
 
 def closed_loop_serve(
@@ -564,24 +552,12 @@ def closed_loop_serve(
 ) -> dict:
     """The closed-loop comparison point: in-flight capped at
     ``connections``, so overload self-limits instead of collapsing."""
-    sc = sc or ServingConfig()
-    policy, plan, ctx = _resolve_serving_knobs(resilience, faults)
-    with ctx:
-        kernel = Kernel(sim_config)
-        payload = _payload_fn(sc.lock_stripes)
+    def make_clients(kernel, **kw):
+        return ClosedLoopClients(kernel, connections=connections,
+                                 think_ns=int(think_us * US), **kw)
 
-        def make_clients(submit, warmup):
-            return ClosedLoopClients(kernel, submit,
-                                     connections=connections,
-                                     think_ns=int(think_us * US),
-                                     payload_fn=payload, warmup_ns=warmup)
-
-        return _drive(kernel, sc, make_clients, "serve", slo,
-                      duration_ms, warmup_ms, policy=policy, faults=plan)
-
-
-def _payload_fn(stripes: int):
-    return lambda rng: int(rng.integers(0, stripes))
+    return _drive(sim_config, sc, make_clients, slo, duration_ms,
+                  warmup_ms, resilience, faults)
 
 
 # ---------------------------------------------------------------------------
@@ -613,88 +589,38 @@ def colocation_run(
     inside the horizon — a deterministic throughput proxy that needs no
     cooperation from the region structure.
     """
-    sc = sc or ServingConfig()
-    policy, plan, ctx = _resolve_serving_knobs(resilience, faults)
-    with ctx:
-        kernel = Kernel(sim_config)
-        horizon = int(duration_ms * MS)
-        warmup = int(warmup_ms * MS)
-        tracker = SloTracker(kernel, "serve", slo, warmup_ns=warmup)
-        box: list = [None]
-        rig = _ResilienceRig.build(kernel, policy, plan, tracker)
+    progress = [0, 0]  # actions retired, threads finished
 
-        def finish(req) -> None:
-            clients = box[0]
-            if rig is not None:
-                req = rig.finish(req)
-                if req is None:
-                    return
-            lat = kernel.now - req.arrival_ns
-            if not clients.complete(req):
-                return
-            if clients.book.in_measured_window():
-                tracker.record(lat)
+    def counted(gen):
+        for action in gen:
+            yield action
+            progress[0] += 1
+        progress[1] += 1
 
-        epolls = _spawn_server(kernel, sc, finish,
-                               guard=None if rig is None else rig.guard)
-
-        if rig is None:
-            def submit(req) -> None:
-                kernel.epoll_post(epolls[req.conn % sc.workers], req)
-        else:
-            rig.guard.attach(epolls)
-            rig.bind(lambda req: epolls[req.conn % sc.workers])
-            submit = rig.submit
-
-        clients = OpenLoopClients(kernel, submit, rate_per_sec=rate,
-                                  payload_fn=_payload_fn(sc.lock_stripes),
-                                  warmup_ns=warmup)
-        box[0] = clients
-        if rig is not None and rig.client is not None:
-            rig.client.on_fail = clients.fail
-
+    def make_clients(kernel, **kw):
+        clients = OpenLoopClients(kernel, rate_per_sec=rate, **kw)
         # Batch tenant: a small NPB instance so its region structure (and
         # barrier behavior) is the real one, not a stand-in.  Iterations
         # scale with the horizon (one iteration per 4 ms) so the two
         # tenants contend for a comparable fraction of any run length;
         # progress_actions, not completion, is the batch metric.
-        progress = [0, 0]  # actions retired, threads finished
         programs, _regions = build_npb_omp(
             batch_kernel, batch_threads,
             NpbOmpConfig(iterations=max(3, int(duration_ms / 4.0)),
                          base_rows=64, seed=sim_config.seed),
         )
-
-        def counted(gen):
-            for action in gen:
-                yield action
-                progress[0] += 1
-            progress[1] += 1
-
         for i, gen in enumerate(programs):
             kernel.spawn(counted(gen), name=f"batch.{batch_kernel}{i}")
+        return clients
 
-        clients.start()
-        kernel.run_for(horizon)
-        clients.stop()
-        if rig is not None:
-            rig.close()
-        clients.cancel_in_flight()
-        kernel.shutdown()
-        tracker.close()
-
-        serve = _serve_result(
-            kernel, clients, tracker, horizon - warmup,
-            resilience=None if rig is None else rig.result(),
-        )
-        # collect() already ran inside _serve_result on the shared kernel;
-        # the per-tenant split below is what colocation analysis needs.
-        return {
-            "serve": serve,
-            "batch": {
-                "kernel": batch_kernel,
-                "threads": batch_threads,
-                "progress_actions": progress[0],
-                "threads_finished": progress[1],
-            },
-        }
+    serve = _drive(sim_config, sc, make_clients, slo, duration_ms,
+                   warmup_ms, resilience, faults)
+    return {
+        "serve": serve,
+        "batch": {
+            "kernel": batch_kernel,
+            "threads": batch_threads,
+            "progress_actions": progress[0],
+            "threads_finished": progress[1],
+        },
+    }

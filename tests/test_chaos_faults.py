@@ -20,6 +20,7 @@ from repro.chaos import (
     run_chaos_spec,
 )
 from repro.chaos.bundle import result_checksum
+from repro.config import SchedulerConfig
 from repro.errors import ConfigError, ReproError
 from repro.runners.parallel import RUNNERS, optimized_desc, vanilla_desc
 
@@ -203,6 +204,17 @@ def test_lost_wakeup_caught_and_replayed(tmp_path):
     replayed, reproduced, diffs = replay_bundle(loaded)
     assert reproduced and diffs == []
     assert replayed.violation == out.violation
+
+
+def test_lost_wakeup_is_reported_within_its_horizon():
+    # The stalled kernel's only events are balance ticks, far fewer than
+    # one full-check interval apart: the progress check must still fire
+    # at the first event past the horizon.
+    horizon = 5 * MS
+    out = run_chaos_spec(workload(), drop_plan(horizon))
+    assert out.violation["invariant"] == "progress"
+    stalled = out.violation["details"]["stalled_ns"]
+    assert horizon < stalled <= horizon + SchedulerConfig().balance_interval_ns
 
 
 def test_replay_detects_a_nonmatching_bundle():

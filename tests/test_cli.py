@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,6 +93,26 @@ def test_unknown_backend_env_is_a_usage_error(monkeypatch, capsys):
         main(["fig02", "--quick", "--no-cache", "--results", "none"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_unknown_policy_env_is_a_usage_error(monkeypatch, capsys):
+    import repro
+    import repro.kernel.policy as policy_mod
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "REPRO_POLICY": "warp",
+           "PYTHONPATH": os.pathsep.join(
+               [src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", "import repro"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setenv("REPRO_POLICY", "warp")
+    monkeypatch.setattr(policy_mod, "_policy", None)
+    assert main(["fig02", "--quick", "--no-cache", "--results", "none"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "REPRO_POLICY='warp'" in err
+    assert main(["list"]) == 0  # builds no kernel: the variable is unread
+    assert "scheduling policies" in capsys.readouterr().out
 
 
 def test_fig01_subset_scaled(capsys):

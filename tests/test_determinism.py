@@ -44,8 +44,7 @@ SAMPLE_IDS = {
 #: Runners the sample leaves out: each costs 0.7 s or more per spec, and
 #: the full-report runs in CI cover them (``serving_colo`` exercises the
 #: open-loop server path).  ``debug_*`` runners are not in the report.
-UNSAMPLED_RUNNERS = {"memcached", "serving_open", "serving_closed",
-                     "resilience_identity"}
+UNSAMPLED_RUNNERS = {"memcached", "serving_open", "serving_closed"}
 
 #: cell -> (jobs, cache, metrics_dir, process-default policy).  The
 #: cache is off, written ("write") or read back warm ("warm").

@@ -307,17 +307,6 @@ def test_resilience_off_is_byte_identical():
     assert "resilience" not in plain
 
 
-def test_resilience_identity_runner():
-    from repro.runners.parallel import run_resilience_identity, vanilla_desc
-
-    out = run_resilience_identity(vanilla_desc(2, 2021), workers=4,
-                                  rate=SATURATION_RATE * 0.3,
-                                  duration_ms=10.0, warmup_ms=2.0)
-    assert out["identical"]
-    assert out["identical_pct"] == 100.0
-    assert out["digest_plain"] == out["digest_policy_off"]
-
-
 # ---------------------------------------------------------------------------
 # Hardened plan/bundle loading (satellite) + random serving plans
 # ---------------------------------------------------------------------------
