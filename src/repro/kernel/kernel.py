@@ -113,6 +113,33 @@ class CpuState:
 class Kernel:
     """Facade tying the engine, topology, scheduler, and monitors together."""
 
+    # Slots, not a dict: past 29 attributes a CPython 3.11 instance dict
+    # stops sharing its keys, and the per-event path's attribute reads,
+    # writes and method loads miss the specialized instructions
+    # (docs/performance.md, "Instance dicts past 29 attributes").
+    __slots__ = (
+        # configuration and the machine
+        "config", "policy", "engine", "topology", "cpus", "queued_runnable",
+        "_online", "_smt_factor", "futex_table", "vb_policy", "memmodel",
+        "bwd", "ple", "_ple_timer", "_balance_timer", "epolls",
+        # observability, telemetry and checking
+        "_obs_session", "trace", "hists", "_h_wakeup", "_h_block",
+        "negative_latency_samples", "_obs_sampler", "_obs_reported",
+        "rng_streams", "_rng_sched", "_chaos", "invariants",
+        "resilience_stats",
+        # PSI pressure and the runqueue-depth integral
+        "psi_waiting", "psi_running", "_psi_pending", "psi_some_ns",
+        "psi_full_ns", "_psi_last", "_psi_bucket_ns", "_psi_next_ckpt",
+        "_psi_checkpoints", "rq_depth_integral_ns", "_rqd_total", "_rqd_at",
+        # tasks and migrations
+        "tasks", "live_tasks", "_stop_at_last_exit", "migrations_in_node",
+        "migrations_cross_node", "wake_migrations", "balance_migrations",
+        "_spawn_rr", "start_time",
+        # engine callbacks, bound once (see __init__)
+        "_cpu_event_cb", "_wake_vb_cb", "_wake_vb_placed_cb",
+        "_wake_vanilla_cb",
+    )
+
     def __init__(
         self,
         config: SimConfig,
@@ -152,7 +179,17 @@ class Kernel:
         self._obs_sampler = None
         self._obs_reported = False
         self.rng_streams = RngStreams(config.seed)
-        self._rng_sched = self.rng_streams.stream("kernel.sched")
+        self._rng_sched = self.rng_streams.draws("kernel.sched")
+        # A serving run under a resilience policy or fault plan attaches
+        # its overload-control counters here (telemetry.schedstats).
+        self.resilience_stats = None
+        # Callbacks handed to the engine on the per-event path, bound
+        # once: 3.11 cannot specialize a method read as a value, so
+        # ``self._cpu_event`` would build a new bound method per event.
+        self._cpu_event_cb = self._cpu_event
+        self._wake_vb_cb = self._finish_wake_vb
+        self._wake_vb_placed_cb = self._finish_wake_vb_placed
+        self._wake_vanilla_cb = self._finish_wake_vanilla
 
         hw = config.hardware
         # Topology over the whole machine; ``online`` tracks elastic CPUs.
@@ -652,7 +689,7 @@ class Kernel:
         ev = cpu.event
         if ev is not None and not ev.cancelled:
             ev.cancel()
-        cpu.event = self.engine.schedule_at(end, self._cpu_event, cpu)
+        cpu.event = self.engine.schedule_at(end, self._cpu_event_cb, cpu)
 
     def _advance(self, cpu: CpuState, task: Task) -> int | None:
         """Run ``task``'s program up to its next action and return the
@@ -784,7 +821,7 @@ class Kernel:
                 if not n & DEADLINE_POLL_MASK:
                     engine.poll_deadline()
                 continue
-            cpu.event = engine.schedule_at(end, self._cpu_event, cpu)
+            cpu.event = engine.schedule_at(end, self._cpu_event_cb, cpu)
             return
 
     def _put_prev_runnable(self, cpu: CpuState) -> None:
@@ -901,7 +938,7 @@ class Kernel:
             task.action_remaining = self.config.futex.syscall_entry_ns
         else:
             cost = self.futex_wait(task, ep)
-            task.action_remaining = max(1, cost)
+            task.action_remaining = cost if cost > 1 else 1
 
     def _start_action_generic(
         self, cpu: CpuState, task: Task, action: A.Action
@@ -934,7 +971,7 @@ class Kernel:
         if isinstance(action, A.SleepNs):
             task.action = None
             task.pending_result = None
-            self._park(cpu, task, kind="sleep")
+            self._park(cpu, task, "sleep")
             self.engine.schedule(action.ns, self._timer_wake, task)
             return
         if task.block_kind is not None:
@@ -949,7 +986,7 @@ class Kernel:
             task.action = None
             if task.mode is MODE_SPIN:
                 task.set_mode(MODE_COMPUTE, now)
-            self._park(cpu, task, kind=task.block_kind)
+            self._park(cpu, task, task.block_kind)
             return
         # Ordinary completion: continue with the next action in-slice.
         task.action = None
@@ -1020,7 +1057,7 @@ class Kernel:
         BWD when the window exceeds a monitoring period."""
         cost = self.futex_wait(task, obj)
         if spin_ns > 0:
-            task.set_mode(MODE_SPIN, self.now)
+            task.set_mode(MODE_SPIN, self.engine.now)
         return cost + max(0, spin_ns)
 
     def futex_waiters(self, obj: Any) -> int:
@@ -1123,7 +1160,7 @@ class Kernel:
                 c = vbc.wake_cost_ns
                 t += c
                 total += c
-                sched_wake(t, self._finish_wake_vb, w)
+                sched_wake(t, self._wake_vb_cb, w)
                 self.vb_policy.stats.vb_wakes += 1
             elif w.block_kind == "vb":
                 c = select_cost
@@ -1134,7 +1171,7 @@ class Kernel:
                 c += fc.enqueue_ns
                 t += c
                 total += c
-                sched_wake(t, self._finish_wake_vb_placed, w)
+                sched_wake(t, self._wake_vb_placed_cb, w)
                 self.vb_policy.stats.vb_placed_wakes += 1
             else:
                 c = bucket.lock.acquire(t, fc.bucket_lock_hold_ns)
@@ -1150,7 +1187,7 @@ class Kernel:
                 c += fc.enqueue_ns
                 t += c
                 total += c
-                sched_wake(t, self._finish_wake_vanilla, w)
+                sched_wake(t, self._wake_vanilla_cb, w)
                 self.vb_policy.stats.vanilla_wakes += 1
             woken += 1
         if waker is None and woken:
@@ -1239,7 +1276,7 @@ class Kernel:
                 return prev
         if len(best) == 1:
             return best[0]
-        return best[int(self._rng_sched.integers(0, len(best)))]
+        return best[self._rng_sched.integers(0, len(best))]
 
     def _count_migration(self, task: Task, dest_cpu: int, wake: bool) -> None:
         src = task.last_cpu
@@ -1277,9 +1314,9 @@ class Kernel:
         # Placement decided now, with every earlier wake of the batch
         # already enqueued and visible.
         if target is None or not self.cpus[target].online:
-            target = self._select_wake_cpu(task, sync=task.sync_wake)
+            target = self._select_wake_cpu(task, task.sync_wake)
         cpu = self.cpus[target]
-        self._count_migration(task, target, wake=True)
+        self._count_migration(task, target, True)
         blocked_ns = now - task.state_since
         if blocked_ns < 0:
             self.negative_latency_samples += 1
@@ -1312,12 +1349,16 @@ class Kernel:
         task.vruntime = saved if saved is not None else task.vruntime
         task.saved_vruntime = None
         if self.config.vb.immediate_schedule:
-            # Immediate-schedule preference for VB wakers (Section 3.1).
-            task.vruntime = max(
-                min(task.vruntime, cpu.rq.min_vruntime),
-                cpu.rq.min_vruntime
-                - self.config.scheduler.sched_latency_ns // 2,
-            )
+            # Immediate-schedule preference for VB wakers (Section 3.1):
+            # at most the queue's min_vruntime, at least half a latency
+            # period below it.  Comparisons, not min()/max(): this runs
+            # on every in-place VB wake.
+            min_vr = cpu.rq.min_vruntime
+            vr = task.vruntime
+            if vr > min_vr:
+                vr = min_vr
+            floor = min_vr - self.config.scheduler.sched_latency_ns // 2
+            task.vruntime = vr if vr > floor else floor
         blocked_ns = now - task.state_since
         if blocked_ns < 0:
             self.negative_latency_samples += 1
@@ -1332,7 +1373,8 @@ class Kernel:
         if not self.config.vb.immediate_schedule:
             # Ablation: no immediate-schedule preference; the woken task
             # keeps its restored vruntime and waits its fair turn.
-            task.vruntime = max(task.vruntime, cpu.rq.min_vruntime)
+            if task.vruntime < cpu.rq.min_vruntime:
+                task.vruntime = cpu.rq.min_vruntime
         cpu.rq.requeue(task)  # re-key from the sentinel to the real vruntime
         if cpu.poll_idle_since is not None:
             # The woken task pays the expected flag-poll latency.
@@ -1367,9 +1409,9 @@ class Kernel:
             task.saved_vruntime = None
         # Placement decided now (see _finish_wake_vanilla).
         if target is None or not self.cpus[target].online:
-            target = self._select_wake_cpu(task, sync=task.sync_wake)
+            target = self._select_wake_cpu(task, task.sync_wake)
         cpu = self.cpus[target]
-        self._count_migration(task, target, wake=True)
+        self._count_migration(task, target, True)
         blocked_ns = now - task.state_since
         if blocked_ns < 0:
             self.negative_latency_samples += 1
@@ -1453,7 +1495,7 @@ class Kernel:
                     flag.waiters.remove(task)
         if not satisfied:
             return False
-        task.set_mode(MODE_COMPUTE, self.now)
+        task.set_mode(MODE_COMPUTE, self.engine.now)
         task.spin_target = None
         task.action_remaining = self.config.user.spin_grant_ns
         self._continue(cpu)
@@ -1545,10 +1587,10 @@ class Kernel:
             self._migratable(busiest.rq.steal_candidates())))
         if not cands:
             return None
-        task = cands[int(self._rng_sched.integers(0, len(cands)))]
+        task = cands[self._rng_sched.integers(0, len(cands))]
         busiest.rq.dequeue(task)
         self._relocate_vruntime(task, busiest.rq, cpu.rq)
-        self._count_migration(task, cpu.id, wake=False)
+        self._count_migration(task, cpu.id, False)
         task.last_cpu = cpu.id
         if self.trace.enabled:
             self.trace.emit(self.engine.now, "idle-pull", cpu.id, task.name)
@@ -1558,7 +1600,7 @@ class Kernel:
         """can_migrate_task: skip pinned tasks and cache-hot tasks (those
         that only just became runnable — e.g. mid group-wakeup)."""
         cold = self.config.scheduler.migration_cold_delay_ns
-        now = self.now
+        now = self.engine.now
         return [
             t
             for t in candidates
@@ -1571,7 +1613,7 @@ class Kernel:
 
     def _migrate_into(self, task: Task, dest: CpuState, count: bool) -> None:
         if count:
-            self._count_migration(task, dest.id, wake=False)
+            self._count_migration(task, dest.id, False)
         task.last_cpu = dest.id
         if task.state is RUNNABLE or task.state is VBLOCKED:
             if task.state is VBLOCKED:
@@ -1603,10 +1645,10 @@ class Kernel:
                 self._migratable(src.rq.steal_candidates())))
             if not cands:
                 return
-            task = cands[int(self._rng_sched.integers(0, len(cands)))]
+            task = cands[self._rng_sched.integers(0, len(cands))]
             src.rq.dequeue(task)
             self._relocate_vruntime(task, src.rq, dst.rq)
-            self._count_migration(task, dst.id, wake=False)
+            self._count_migration(task, dst.id, False)
             task.last_cpu = dst.id
             dst.rq.enqueue(task)
             if self.trace.enabled:
@@ -1621,7 +1663,7 @@ class Kernel:
         """Deliver an event (interrupt context, e.g. network RX)."""
         self.epolls.setdefault(id(ep), ep)
         if self.futex_table.waiter_count(ep) > 0:
-            self.futex_wake(None, ep, 1, result=[payload])
+            self.futex_wake(None, ep, 1, [payload])
             ep.events_posted += 1
             ep.events_delivered += 1
         else:

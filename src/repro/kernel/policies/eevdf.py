@@ -36,13 +36,13 @@ class EevdfPolicy(SchedPolicy):
 
     def _deadline(self, task) -> int:
         """Effective deadline without mutating ``task`` (pure)."""
-        dl = getattr(task, "deadline", None)
+        dl = task.deadline
         if dl is None or task.vruntime >= dl:
             return task.vruntime + self._vslice(task)
         return dl
 
     def queue_key(self, task) -> int:
-        dl = getattr(task, "deadline", None)
+        dl = task.deadline
         if dl is None or task.vruntime >= dl:
             task.deadline = dl = task.vruntime + self._vslice(task)
         return dl
@@ -50,7 +50,7 @@ class EevdfPolicy(SchedPolicy):
     def expected_key(self, task) -> int | None:
         # queue_key stored the exact key it returned; a queued task's
         # deadline is only ever rewritten by its next enqueue.
-        return getattr(task, "deadline", None)
+        return task.deadline
 
     def pick_next(self, rq):
         runnable = [t for t in rq.tasks() if not t.thread_state]

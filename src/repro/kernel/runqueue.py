@@ -206,7 +206,8 @@ class CfsRunqueue:
         """CFS ``place_entity``: cap a sleeper's vruntime near the queue's
         min so it gets scheduled soon without starving the queue."""
         target = self.min_vruntime - sleeper_bonus_ns
-        task.vruntime = max(task.vruntime, target)
+        if task.vruntime < target:  # max(), spelled out: once per wake
+            task.vruntime = target
 
     def tasks(self) -> Iterator[Task]:
         """Queued tasks in key order — a lazy iterator; callers that need

@@ -110,6 +110,23 @@ def nice_to_weight(nice: int) -> int:
 class Task:
     """A simulated kernel thread bound to a generator program."""
 
+    # Past 29 attributes a CPython 3.11 instance dict stops sharing its
+    # keys, and every attribute read, write and method load on the
+    # per-event path falls off the specialized instructions; slots keep
+    # them on (docs/performance.md, "Instance dicts past 29 attributes").
+    # A policy that keeps per-task state needs a slot here, as EEVDF's
+    # ``deadline`` has.
+    __slots__ = (
+        "tid", "name", "program", "profile", "nice", "weight",
+        "state", "mode", "cpu", "last_cpu", "vruntime", "saved_vruntime",
+        "rq_key", "thread_state", "skip_flag", "action",
+        "action_remaining", "pending_result", "wake_completed",
+        "block_kind", "wake_pending", "sync_wake", "pinned_cpu", "vb_cpu",
+        "pending_penalty_ns", "state_since", "mode_since", "on_cpu_since",
+        "woken_at", "spin_target", "spin_signature", "stats", "exited_at",
+        "exit_error", "deadline",
+    )
+
     _next_tid = [1]
 
     def __init__(
@@ -172,6 +189,9 @@ class Task:
         self.stats = TaskStats()
         self.exited_at: int | None = None
         self.exit_error: BaseException | None = None
+        # EEVDF's virtual deadline (repro.kernel.policies.eevdf); None
+        # until the policy first keys the task.
+        self.deadline: int | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Task {self.tid} {self.name!r} {self.state.value}>"

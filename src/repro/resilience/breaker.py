@@ -59,7 +59,7 @@ class CircuitBreaker:
     # -- send-side gate ----------------------------------------------
     def admit(self) -> str:
         """Verdict for one send: ALLOW, PROBE (degraded), or REJECT."""
-        now = self.kernel.now
+        now = self.kernel.engine.now
         if self.state == OPEN and now >= self._open_until:
             self._enter_half_open()
         if self.state == CLOSED:
@@ -75,7 +75,7 @@ class CircuitBreaker:
 
     # -- outcome feed -------------------------------------------------
     def record(self, ok: bool, probe: bool = False) -> None:
-        now = self.kernel.now
+        now = self.kernel.engine.now
         if probe and self.state == HALF_OPEN:
             if not ok:
                 self._trip(now)

@@ -97,7 +97,7 @@ class ResilientClients:
             self._tokens = min(self._budget_cap,
                                self._tokens + self._budget_rate)
         if self.series is not None:
-            self.series.offer(self.kernel.now)
+            self.series.offer(self.kernel.engine.now)
         flight = _Flight(orig)
         flight.attempts = 1
         self._dispatch(flight, 0)
@@ -202,7 +202,7 @@ class ResilientClients:
         if self.breaker is not None:
             self.breaker.record(True, probe=probe)
         if self.series is not None:
-            self.series.complete(self.kernel.now)
+            self.series.complete(self.kernel.engine.now)
         return flight.orig
 
     # -- end of run -----------------------------------------------------

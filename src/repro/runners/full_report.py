@@ -1142,6 +1142,11 @@ def run_full_report(
     out = out if out is not None else sys.stdout
     progress_out = progress_out if progress_out is not None else sys.stderr
     t0 = time.time()
+    write_results = bool(results_path) and results_path != "none"
+    if write_results:
+        # Before the run, not at the write: a path in a missing directory
+        # must not cost the whole simulated report.
+        os.makedirs(os.path.dirname(results_path) or ".", exist_ok=True)
 
     params = ReportParams(
         scale=resolve_scale(scale, quick, warn=progress_out),
@@ -1251,7 +1256,7 @@ def run_full_report(
         artifact["telemetry"] = telemetry
         print(f"telemetry for {len(telemetry)}/{len(specs)} specs "
               f"written to {metrics_dir}", file=progress_out)
-    if results_path and results_path != "none":
+    if write_results:
         # Atomic replace: a crash (or a reader racing the writer) must
         # never leave a truncated results.json behind.
         tmp = f"{results_path}.tmp.{os.getpid()}"

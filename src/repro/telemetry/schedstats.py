@@ -112,9 +112,9 @@ def snapshot(kernel: "Kernel") -> dict[str, Any]:
         },
     }
     # Serving runs under a resilience policy or fault plan attach their
-    # overload-control counters to the kernel; absent otherwise, so
+    # overload-control counters to the kernel; None otherwise, so
     # default snapshots are unchanged.
-    resil = getattr(kernel, "resilience_stats", None)
+    resil = kernel.resilience_stats
     if resil is not None:
         snap["resilience"] = resil.as_dict()
     return snap

@@ -33,6 +33,7 @@ import numpy as np
 
 from ..kernel.kernel import Kernel
 from ..metrics.stats import LatencySummary, summarize_latencies
+from ..sim.rng import ScalarDraws
 
 US = 1_000
 MS = 1_000_000
@@ -276,16 +277,19 @@ class RateSchedule:
 class _LatencyBook:
     def __init__(self, kernel: Kernel, warmup_ns: int):
         self.kernel = kernel
+        # The request path reads ``engine.now``, not the ``Kernel.now``
+        # property: 3.11 specializes no property read.
+        self.engine = kernel.engine
         self.warmup_ns = warmup_ns
         self.latencies_us: list[float] = []
         self.completed = 0
 
     def in_measured_window(self) -> bool:
         """True once the warmup window has elapsed (boundary inclusive)."""
-        return self.kernel.now - self.kernel.start_time >= self.warmup_ns
+        return self.engine.now - self.kernel.start_time >= self.warmup_ns
 
     def record(self, arrival_ns: int) -> None:
-        now = self.kernel.now
+        now = self.engine.now
         # >= so a completion landing exactly at the warmup boundary counts;
         # the same predicate gates sent_measured in the client classes, so
         # offered load and goodput share one measured window.
@@ -303,7 +307,8 @@ class _Clients:
 
     ``submit(request)`` is the server's ingress (e.g. an epoll post);
     the server must call :meth:`complete` exactly once per request.
-    ``payload_fn`` draws the request payload (request kind, key, ...).
+    ``payload_fn`` draws the request payload (request kind, key, ...)
+    from the stream's :class:`~repro.sim.rng.ScalarDraws`.
     Subclasses say what a connection does once its request is done
     (:meth:`_after`).
     """
@@ -312,14 +317,15 @@ class _Clients:
         self,
         kernel: Kernel,
         submit: Callable[[ClientRequest], None],
-        payload_fn: Callable[[np.random.Generator], Any] | None,
+        payload_fn: Callable[[ScalarDraws], Any] | None,
         warmup_ns: int,
         rng_name: str,
     ):
         self.kernel = kernel
+        self.engine = kernel.engine
         self.submit = submit
         self.payload_fn = payload_fn or (lambda rng: None)
-        self.rng = kernel.rng_streams.stream(rng_name)
+        self.rng = kernel.rng_streams.draws(rng_name)
         self.book = _LatencyBook(kernel, warmup_ns)
         self.sent = 0
         self.sent_measured = 0
@@ -336,7 +342,7 @@ class _Clients:
         self.sent += 1
         if self.book.in_measured_window():
             self.sent_measured += 1
-        req = ClientRequest(conn, self.kernel.now, self.payload_fn(self.rng))
+        req = ClientRequest(conn, self.engine.now, self.payload_fn(self.rng))
         self._inflight[id(req)] = req
         self.submit(req)
 
@@ -409,7 +415,7 @@ class ClosedLoopClients(_Clients):
         submit: Callable[[ClientRequest], None],
         connections: int,
         think_ns: int,
-        payload_fn: Callable[[np.random.Generator], Any] | None = None,
+        payload_fn: Callable[[ScalarDraws], Any] | None = None,
         warmup_ns: int = 0,
         rng_name: str = "loadgen",
     ):
@@ -438,12 +444,10 @@ class ClosedLoopClients(_Clients):
             self.connections * self._MIN_STAGGER_PER_CONN_NS,
         )
         for conn in range(self.connections):
-            self.kernel.engine.schedule(
-                int(self.rng.integers(0, spread)), self._send, conn
-            )
+            self.engine.schedule(self.rng.integers(0, spread), self._send, conn)
 
     def _after(self, conn: int) -> None:
-        self.kernel.engine.schedule(
+        self.engine.schedule(
             int(self.rng.exponential(self.think_ns)), self._send, conn
         )
 
@@ -463,7 +467,7 @@ class OpenLoopClients(_Clients):
         kernel: Kernel,
         submit: Callable[[ClientRequest], None],
         rate_per_sec: float | RateSchedule,
-        payload_fn: Callable[[np.random.Generator], Any] | None = None,
+        payload_fn: Callable[[ScalarDraws], Any] | None = None,
         warmup_ns: int = 0,
         rng_name: str = "loadgen-open",
     ):
@@ -513,7 +517,7 @@ class OpenLoopClients(_Clients):
         return 1e9 / self.schedule.mean_rate_per_sec()
 
     def start(self) -> None:
-        self._t0 = self.kernel.now
+        self._t0 = self.engine.now
         if not self._constant:
             self._cand_time = self._t0
         self._schedule_next()
@@ -555,13 +559,13 @@ class OpenLoopClients(_Clients):
             return
         if self._constant:
             gap = int(self.rng.exponential(self._peak_gap_ns))
-            self.kernel.engine.schedule(max(1, gap), self._fire)
+            self.engine.schedule(max(1, gap), self._fire)
             return
         if self._accepted_pos >= len(self._accepted):
             self._fill_accepted()
         t = self._accepted[self._accepted_pos]
         self._accepted_pos += 1
-        self.kernel.engine.schedule_at(max(t, self.kernel.now + 1), self._fire)
+        self.engine.schedule_at(max(t, self.engine.now + 1), self._fire)
 
     def _fire(self) -> None:
         if self._stopped:

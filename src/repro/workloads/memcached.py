@@ -79,7 +79,8 @@ def memcached_run(
 ) -> MemcachedResult:
     """Drive a memcached server with closed-loop mutilate clients."""
     kernel = Kernel(sim_config)
-    rng = kernel.rng_streams.stream("mutilate")
+    # Scalar draws replayed from raw words (repro.sim.rng.ScalarDraws).
+    rng = kernel.rng_streams.draws("mutilate")
     epolls = [EpollInstance(f"worker{i}.ep") for i in range(mc.workers)]
     table_locks = [Mutex(f"memcached.hash{j}") for j in range(mc.lock_stripes)]
     horizon = int(duration_ms * MS)
@@ -98,7 +99,7 @@ def memcached_run(
             conn,
             "get" if rng.random() < get_ratio else "set",
             engine.now,
-            int(rng.integers(0, lock_stripes)),
+            rng.integers(0, lock_stripes),
         )
         kernel.epoll_post(epolls[conn % workers], req)
 
@@ -144,7 +145,7 @@ def memcached_run(
         kernel.spawn(worker(i), name=f"mcd.worker{i}", profile=worker_profile)
     # Stagger the initial burst a little, as real connections would.
     for conn in range(mc.connections):
-        next_request(conn, int(rng.integers(0, mc.think_ns)))
+        next_request(conn, rng.integers(0, mc.think_ns))
 
     kernel.run_for(horizon)
     kernel.shutdown()

@@ -56,17 +56,22 @@ def direct_cost_run(
     kernel = Kernel(config)
     quantum = config.scheduler.min_granularity_ns
     per_thread = int(total_work_ms * 1e6 / nthreads)
-    counter = SharedCounter("fig2b") if atomic else None
+    # Actions are immutable descriptors (per-run progress lives on the
+    # task), so every step yields shared instances: a dataclass call per
+    # step is measurable at these event rates.
+    act_quantum = Compute(quantum)
+    act_atomic = AtomicRmw(SharedCounter("fig2b")) if atomic else None
+    act_yield = Yield()
 
     def worker(i: int):
         done = 0
         while done < per_thread:
             chunk = min(quantum, per_thread - done)
-            yield Compute(chunk)
-            if counter is not None:
-                yield AtomicRmw(counter)
+            yield act_quantum if chunk == quantum else Compute(chunk)
+            if act_atomic is not None:
+                yield act_atomic
             done += chunk
-            yield Yield()
+            yield act_yield
 
     for i in range(nthreads):
         kernel.spawn(worker(i), name=f"direct.{i}")
@@ -103,39 +108,46 @@ def primitive_stress_run(
     ``primitive`` is "mutex", "cond", or "barrier".
     """
     kernel = Kernel(config)
+    # Shared action instances, as in direct_cost_run.
+    act_work = Compute(work_ns)
 
     if primitive == "barrier":
-        bar = Barrier(nthreads, "fig10.bar")
+        act_wait = BarrierWait(Barrier(nthreads, "fig10.bar"))
 
         def worker(i: int):
             for _ in range(iterations):
-                yield Compute(work_ns)
-                yield BarrierWait(bar)
+                yield act_work
+                yield act_wait
 
         for i in range(nthreads):
             kernel.spawn(worker(i), name=f"bar.{i}")
 
     elif primitive == "mutex":
         m = Mutex("fig10.m")
+        act_acquire = MutexAcquire(m)
+        act_cs = Compute(work_ns // 4)
+        act_release = MutexRelease(m)
 
         def worker(i: int):
             for _ in range(iterations):
-                yield Compute(work_ns)
-                yield MutexAcquire(m)
-                yield Compute(work_ns // 4)
-                yield MutexRelease(m)
+                yield act_work
+                yield act_acquire
+                yield act_cs
+                yield act_release
 
         for i in range(nthreads):
             kernel.spawn(worker(i), name=f"mtx.{i}")
 
     elif primitive == "cond":
         cv = CondVar("fig10.cv")
+        act_wait = CondWait(cv)
+        act_broadcast = CondBroadcast(cv)
         state = {"exited": 0}
         nwaiters = max(1, nthreads - 1)
 
         def waiter(i: int):
             for _ in range(iterations):
-                yield CondWait(cv)
+                yield act_wait
             state["exited"] += 1
 
         def signaler():
@@ -143,8 +155,8 @@ def primitive_stress_run(
             # broadcasts that land while nobody waits are simply absorbed
             # by later rounds (no lost-wakeup hazard for the benchmark).
             while state["exited"] < nwaiters:
-                yield Compute(work_ns)
-                yield CondBroadcast(cv)
+                yield act_work
+                yield act_broadcast
 
         for i in range(nwaiters):
             kernel.spawn(waiter(i), name=f"cv.{i}")

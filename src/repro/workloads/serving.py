@@ -129,7 +129,7 @@ class SloTracker:
     def record(self, latency_ns: int) -> None:
         if self._closed:
             return  # the run is over; a straggler can't reopen a window
-        now = self.kernel.now
+        now = self.kernel.engine.now  # not the Kernel.now property
         if now < self.t0:
             return  # warmup: not part of any window
         idx = (now - self.t0) // self.window_ns
@@ -246,6 +246,7 @@ def _spawn_server(kernel: Kernel, sc: ServingConfig, finish,
     consults nothing beyond its batch.
     """
     epolls = [EpollInstance(f"srv{i}.ep") for i in range(sc.workers)]
+    engine = kernel.engine  # engine.now: no Kernel.now property call
     locks = [Mutex(f"srv.hash{j}") for j in range(sc.lock_stripes)]
     act_parse = Compute(sc.parse_ns)
     act_work = Compute(sc.work_cs_ns)
@@ -269,11 +270,11 @@ def _spawn_server(kernel: Kernel, sc: ServingConfig, finish,
                 if guard.worker_crashes_now(i):
                     guard.note_crash(i, batch)
                     return  # the task dies; guard schedules the respawn
-                scale = guard.work_scale(kernel.now)
+                scale = guard.work_scale(engine.now)
                 act_slow = (act_work if scale == 1.0
                             else Compute(max(1, int(sc.work_cs_ns * scale))))
             for req in batch:
-                if guard is not None and not guard.serve_ok(req, kernel.now):
+                if guard is not None and not guard.serve_ok(req, engine.now):
                     continue  # CoDel shed at dequeue: silently dropped
                 yield act_parse
                 bucket = req.payload % stripes
@@ -349,7 +350,7 @@ class _ResilienceRig:
         self.series = WindowSeries(tracker.t0, tracker.window_ns)
         self.guard = ServerGuard(kernel, policy, [], self.stats)
         kernel.resilience_stats = self.stats
-        chaos = getattr(kernel, "_chaos", None)
+        chaos = kernel._chaos
         if chaos is not None:
             chaos.serving = self.guard
         self.breaker = None
@@ -382,7 +383,7 @@ class _ResilienceRig:
         if verdict == ADMIT:
             # CoDel measures dequeue-time sojourn from here (retries
             # re-enter the queue later than their original arrival).
-            object.__setattr__(req, "enqueue_ns", self.kernel.now)
+            object.__setattr__(req, "enqueue_ns", self.kernel.engine.now)
             self.kernel.epoll_post(ep, req)
         return verdict
 
@@ -391,7 +392,7 @@ class _ResilienceRig:
         if self.client is not None:
             self.client.send(req)
             return
-        self.series.offer(self.kernel.now)
+        self.series.offer(self.kernel.engine.now)
         self._transport(req)
 
     def finish(self, req):
@@ -399,7 +400,7 @@ class _ResilienceRig:
         when it must not be booked (duplicate / failed / shed)."""
         if self.client is not None:
             return self.client.server_finish(req)
-        self.series.complete(self.kernel.now)
+        self.series.complete(self.kernel.engine.now)
         return req
 
     def close(self) -> None:
@@ -446,6 +447,7 @@ def _drive(sim_config: SimConfig, sc: ServingConfig | None, make_clients,
         warmup = int(warmup_ms * MS)
         tracker = SloTracker(kernel, "serve", slo, warmup_ns=warmup)
         box: list = [None]
+        engine = kernel.engine  # engine.now: no Kernel.now property call
         rig = _ResilienceRig.build(kernel, policy, plan, tracker)
 
         def finish(req) -> None:
@@ -454,7 +456,7 @@ def _drive(sim_config: SimConfig, sc: ServingConfig | None, make_clients,
                 req = rig.finish(req)
                 if req is None:
                     return
-            lat = kernel.now - req.arrival_ns
+            lat = engine.now - req.arrival_ns
             if not clients.complete(req):
                 return
             if clients.book.in_measured_window():
@@ -474,7 +476,7 @@ def _drive(sim_config: SimConfig, sc: ServingConfig | None, make_clients,
         stripes = sc.lock_stripes
         clients = make_clients(
             kernel, submit=submit,
-            payload_fn=lambda rng: int(rng.integers(0, stripes)),
+            payload_fn=lambda rng: rng.integers(0, stripes),
             warmup_ns=warmup,
         )
         box[0] = clients

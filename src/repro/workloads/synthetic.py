@@ -115,11 +115,14 @@ def build_programs(
     elif prof.kind is SyncKind.BARRIER_PHASES:
         bar = Barrier(nthreads, f"{prof.name}.bar")
         shared["barrier"] = bar
+        # Actions are immutable descriptors, so the constant ones are
+        # shared instances rather than a dataclass call per step.
+        act_bar = BarrierWait(bar)
 
         def worker(i: int):
             for k in range(phases):
                 yield Compute(max(1, int(phase_ns / nthreads * weights[k, i])))
-                yield BarrierWait(bar)
+                yield act_bar
 
         programs = [(f"{prof.name}.{i}", worker(i)) for i in range(nthreads)]
 
@@ -132,17 +135,20 @@ def build_programs(
         iters_per_thread = max(
             2, int(total_ns / nthreads / (prof.sync_interval_us * US))
         )
-        cs_ns = int(prof.cs_us * US)
+        act_cs = Compute(int(prof.cs_us * US))
+        act_acquire = [MutexAcquire(m) for m in locks]
+        act_release = [MutexRelease(m) for m in locks]
         lock_seq = rng.integers(0, nlocks, size=(nthreads, iters_per_thread))
 
         def worker(i: int):
             w = float(weights[:, i].mean())
+            act_work = Compute(max(1, int(prof.sync_interval_us * US * w)))
             for it in range(iters_per_thread):
-                yield Compute(max(1, int(prof.sync_interval_us * US * w)))
-                m = locks[int(lock_seq[i, it])]
-                yield MutexAcquire(m)
-                yield Compute(cs_ns)
-                yield MutexRelease(m)
+                yield act_work
+                idx = int(lock_seq[i, it])
+                yield act_acquire[idx]
+                yield act_cs
+                yield act_release[idx]
             yield BarrierWait(done)
 
         programs = [(f"{prof.name}.{i}", worker(i)) for i in range(nthreads)]
@@ -157,7 +163,10 @@ def build_programs(
         shared["barrier"] = bar
         shared["locks"] = locks
         ops_per_phase = 60
-        cs_ns = int(prof.cs_us * US)
+        act_cs = Compute(int(prof.cs_us * US))
+        act_acquire = [MutexAcquire(m) for m in locks]
+        act_release = [MutexRelease(m) for m in locks]
+        act_bar = BarrierWait(bar)
         # Each thread mostly works its own grid cells but hits boundary
         # cells of the whole grid uniformly.
         lock_seq = rng.integers(0, max(nlocks, 1), size=(nthreads, phases, ops_per_phase))
@@ -166,11 +175,11 @@ def build_programs(
             for k in range(phases):
                 yield Compute(max(1, int(phase_ns / nthreads * weights[k, i])))
                 for j in range(ops_per_phase):
-                    m = locks[int(lock_seq[i, k, j]) % nlocks]
-                    yield MutexAcquire(m)
-                    yield Compute(cs_ns)
-                    yield MutexRelease(m)
-                yield BarrierWait(bar)
+                    idx = int(lock_seq[i, k, j]) % nlocks
+                    yield act_acquire[idx]
+                    yield act_cs
+                    yield act_release[idx]
+                yield act_bar
 
         programs = [(f"{prof.name}.{i}", worker(i)) for i in range(nthreads)]
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from repro.sim.rng import RngStreams
+import random
+
+import pytest
+
+from repro.sim.rng import RngStreams, ScalarDraws
 from repro.sim.trace import TraceRecorder
 
 
@@ -41,6 +45,54 @@ def test_fork_differs():
     assert list(s.stream("x").integers(0, 10**9, 4)) != list(
         f.stream("x").integers(0, 10**9, 4)
     )
+
+
+# Upper bounds of ``integers(low, low + n)``: powers of two and not,
+# 1 (no draw), the 32-bit edges, and ranges that take whole words.
+_RANGES = (1, 2, 3, 7, 10, 16, 33, 1000, 150_000, 2**31 + 5, 2**32 - 1,
+           2**32, 2**32 + 1, 3 * 10**9, 2**40 + 3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2021, 77])
+def test_scalar_draws_replay_numpy_exactly(seed):
+    """``ScalarDraws`` gives numpy's exact sequence over interleaved
+    ``random``/``integers``/``exponential`` calls on one generator, with
+    the spare 32-bit half carried across the other kinds of draw."""
+    ref = RngStreams(seed).stream("kernel.sched")
+    draws = RngStreams(seed).draws("kernel.sched")
+    pick = random.Random(seed)
+    for _ in range(5_000):
+        kind = pick.randrange(4)
+        if kind == 0:
+            assert draws.random() == ref.random()
+        elif kind == 1:
+            low = pick.choice((0, 0, 5, -7))
+            high = low + pick.choice(_RANGES)
+            got = draws.integers(low, high)
+            assert type(got) is int
+            assert got == int(ref.integers(low, high))
+        elif kind == 2:
+            assert draws.exponential(150_000.0) == ref.exponential(150_000.0)
+        else:
+            # Runs of 32-bit draws: both halves of a word in turn.
+            for _ in range(pick.randrange(1, 4)):
+                assert draws.integers(0, 16) == int(ref.integers(0, 16))
+    # Same PCG64 state, and the helper's spare half is numpy's buffer.
+    ours = draws.generator.bit_generator.state
+    theirs = ref.bit_generator.state
+    assert ours["state"] == theirs["state"]
+    assert draws._spare == (theirs["uinteger"] if theirs["has_uint32"]
+                            else None)
+
+
+def test_scalar_draws_one_helper_per_stream():
+    streams = RngStreams(3)
+    draws = streams.draws("mutilate")
+    assert isinstance(draws, ScalarDraws)
+    assert streams.draws("mutilate") is draws
+    assert draws.generator is streams.stream("mutilate")
+    with pytest.raises(ValueError):
+        draws.integers(5, 5)
 
 
 def test_trace_disabled_records_nothing():

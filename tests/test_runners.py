@@ -212,3 +212,27 @@ def test_section_validate_covers_the_fidelity_specs_it_feeds(tmp_path):
     assert f"specs: {len(specs)} total, 0 simulated" in text
     fed = [s for s in SPECS if s.section in ("fig09", "table1", "telemetry")]
     assert f"{len(fed)} specs: " in text
+
+
+def test_results_path_in_a_missing_directory_keeps_the_report(tmp_path):
+    """``--results`` naming a file in a directory that does not exist yet:
+    the directory is created before the run, so the report is written and
+    ``--validate`` still runs (it used to die at the write, after every
+    spec had been simulated).  Served from a cache seeded with the
+    fixture."""
+    seeder = ParallelRunner(jobs=1, cache_dir=tmp_path / "cache")
+    fig02 = next(s for s in SECTIONS if s.key == "fig02")
+    by_id = {e["id"]: e["result"] for e in _fixture()["results"]}
+    specs = fig02.build(QUICK)
+    for spec in specs:
+        seeder.cache_store(spec, by_id[spec.id])
+    path = tmp_path / "no" / "such" / "dir" / "r.json"
+    out = io.StringIO()
+    rc = run_full_report(quick=True, jobs=1, cache_dir=str(tmp_path / "cache"),
+                         results_path=str(path), out=out,
+                         progress_out=io.StringIO(), validate=True,
+                         sections=["fig02"])
+    assert rc == 0
+    artifact = json.loads(path.read_text(encoding="utf-8"))
+    assert [e["id"] for e in artifact["results"]] == [s.id for s in specs]
+    assert "Fidelity validation" in out.getvalue()
