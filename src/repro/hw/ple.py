@@ -15,6 +15,8 @@ both reproduced here and in the evaluation (Figures 13/14):
 
 from __future__ import annotations
 
+import math
+
 from ..config import PleConfig
 
 
@@ -23,6 +25,8 @@ class PauseLoopExiting:
 
     def __init__(self, config: PleConfig, num_cpus: int):
         self.config = config
+        # A disabled PLE never fires: its spin window never closes.
+        self._window_ns = config.window_ns if config.enabled else math.inf
         self._spin_since: list[int | None] = [None] * num_cpus
         self.exits = 0
 
@@ -32,8 +36,6 @@ class PauseLoopExiting:
         Called whenever the monitoring layer samples the vCPU.  The spin
         clock resets whenever the vCPU is not in a PAUSE-based spin.
         """
-        if not self.config.enabled:
-            return False
         if not spinning_with_pause:
             self._spin_since[cpu] = None
             return False
@@ -41,7 +43,7 @@ class PauseLoopExiting:
         if since is None:
             self._spin_since[cpu] = now
             return False
-        if now - since >= self.config.window_ns:
+        if now - since >= self._window_ns:
             self._spin_since[cpu] = now  # re-arm after the exit
             self.exits += 1
             return True

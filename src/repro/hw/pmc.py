@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import ProfilingConfig
+from ..sim.rng import ScalarDraws
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ def synthesize_pmc(
     window_ns: int,
     spin_fraction: float,
     profile: ProfilingConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | ScalarDraws,
     tight_loop_probability: float = 0.0,
     miss_rate_scale: float = 1.0,
 ) -> PmcWindow:
@@ -68,7 +69,7 @@ def synthesize_pmc_miss_free(
     window_ns: int,
     spin_fraction: float,
     profile: ProfilingConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | ScalarDraws,
     tight_loop_probability: float = 0.0,
     miss_rate_scale: float = 1.0,
 ) -> bool:

@@ -248,7 +248,7 @@ class Kernel:
         self.bwd: BwdMonitor | None = None
         if config.bwd.enabled:
             self.bwd = BwdMonitor(
-                config.bwd, config.profiling, self.rng_streams.stream("bwd")
+                config.bwd, config.profiling, self.rng_streams.draws("bwd")
             )
             self.bwd.install(self)
         self.ple: PauseLoopExiting | None = None
@@ -1535,19 +1535,17 @@ class Kernel:
 
     def _ple_tick(self, now: int) -> None:
         assert self.ple is not None
+        cpus = self.cpus
+        observe = self.ple.observe
         for cpu_id in self._online:
-            task = self.cpus[cpu_id].rq.curr
-            spinning_with_pause = (
-                task is not None
-                and task.mode is MODE_SPIN
-                and task.profile.spin_uses_pause
-            )
-            if self.ple.observe(cpu_id, now, spinning_with_pause):
+            task = cpus[cpu_id].rq.curr
+            if observe(cpu_id, now, task is not None and task.mode is MODE_SPIN
+                       and task.profile.spin_uses_pause):
                 # The hypervisor briefly deschedules the *vCPU*; the guest
                 # scheduler still runs the spinner afterwards, so thread
                 # oversubscription is not relieved (Section 2.4) — the only
                 # effect is the lost yield window on this vCPU.
-                self.cpus[cpu_id].irq_ns += self.config.ple.vcpu_yield_ns
+                cpus[cpu_id].irq_ns += self.config.ple.vcpu_yield_ns
 
     def charge_irq(self, cpu_id: int, ns: int) -> None:
         """Steal ``ns`` from whatever runs on the CPU (monitor overhead)."""

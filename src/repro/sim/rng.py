@@ -22,8 +22,9 @@ def _stable_key(name: str) -> int:
 
 
 class ScalarDraws:
-    """numpy's scalar ``random()`` and ``integers(low, high)`` on one
-    generator, replayed exactly from its raw 64-bit words.
+    """numpy's scalar draws on one PCG64 generator, replayed exactly from
+    its raw 64-bit words, and the one owner of the generator's spare
+    32-bit half.
 
     A scalar ``Generator.integers`` call spends microseconds on argument
     handling, several times the draw itself.  Here:
@@ -32,35 +33,49 @@ class ScalarDraws:
     * ``integers(low, high)`` with ``high - low`` up to 2**32 is numpy's
       Lemire multiply-shift with rejection on a 32-bit half.  numpy takes
       the low half of a fresh word and keeps the high half for the next
-      32-bit draw; this helper keeps that spare half itself.  Wider ranges
-      use whole words, so they go to numpy unchanged.
-    * ``exponential`` is the generator's own method.
+      32-bit draw; this helper keeps that spare half itself, in
+      :attr:`spare`.  Wider ranges use whole words, so they go to numpy
+      unchanged.
+    * ``exponential`` and ``poisson`` are the generator's own methods.
 
-    ``random`` and ``exponential`` consume whole words and never touch the
-    spare half, so all three interleave in numpy's exact sequence.  Every
-    ``integers`` call on the stream must come through here: numpy's own
-    would read its own buffered half, not this one.  So each stream has
-    one helper, :meth:`RngStreams.draws`.
+    ``random``, ``exponential`` and ``poisson`` consume whole words and
+    never touch the spare half, so all of them interleave in numpy's
+    exact sequence.  Every 32-bit draw on the stream must come through
+    here: numpy's own would read its own buffered half, not this one.  So
+    each stream has one helper, :meth:`RngStreams.draws`.  A replay of
+    other draws (``repro.hw.lbr``) reads words with :attr:`raw` and takes
+    and gives back :attr:`spare`; nothing else reads the bit generator.
+
+    Only PCG64 is accepted: the replay relies on its 64-bit words and its
+    one-slot 32-bit buffer.
     """
 
-    __slots__ = ("generator", "exponential", "_raw", "_spare")
+    __slots__ = ("generator", "exponential", "poisson", "raw", "spare")
 
     def __init__(self, generator: np.random.Generator):
+        bitgen = generator.bit_generator
+        if not isinstance(bitgen, np.random.PCG64):
+            raise TypeError(f"ScalarDraws needs a PCG64 generator, got "
+                            f"{type(bitgen).__name__}")
         self.generator = generator
         self.exponential = generator.exponential
-        self._raw = generator.bit_generator.random_raw
-        self._spare: int | None = None
+        self.poisson = generator.poisson
+        #: ``raw()`` is the next 64-bit word as an int, ``raw(k)`` the next
+        #: ``k`` words as a uint64 array.
+        self.raw = bitgen.random_raw
+        #: The high half of the last word a 32-bit draw split, else None.
+        self.spare: int | None = None
 
     def random(self) -> float:
-        return (self._raw() >> 11) * _TWO_M53
+        return (self.raw() >> 11) * _TWO_M53
 
     def _next32(self) -> int:
-        spare = self._spare
+        spare = self.spare
         if spare is not None:
-            self._spare = None
+            self.spare = None
             return spare
-        word = self._raw()
-        self._spare = word >> 32
+        word = self.raw()
+        self.spare = word >> 32
         return word & _LOW32
 
     def integers(self, low: int, high: int) -> int:
@@ -75,13 +90,13 @@ class ScalarDraws:
                 return low + self._next32()
             return low + int(self.generator.integers(0, rng + 1))
         excl = rng + 1
-        spare = self._spare
+        spare = self.spare
         if spare is not None:
-            self._spare = None
+            self.spare = None
             m = spare * excl
         else:
-            word = self._raw()
-            self._spare = word >> 32
+            word = self.raw()
+            self.spare = word >> 32
             m = (word & _LOW32) * excl
         leftover = m & _LOW32
         if leftover < excl:

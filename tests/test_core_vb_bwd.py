@@ -17,6 +17,7 @@ from repro.core.virtual_blocking import VirtualBlockingPolicy
 from repro.kernel import Kernel
 from repro.kernel.task import ExecProfile, RunMode, Task, TaskState
 from repro.prog.actions import Compute, SpinFlag, SpinUntilFlag
+from repro.sim.rng import RngStreams
 
 MS = 1_000_000
 US = 1_000
@@ -44,7 +45,7 @@ def test_vb_policy_rule_can_be_disabled():
 
 def _monitor(seed=0, **kw):
     cfg = BwdConfig(enabled=True, **kw)
-    return BwdMonitor(cfg, ProfilingConfig(), np.random.default_rng(seed))
+    return BwdMonitor(cfg, ProfilingConfig(), RngStreams(seed).draws("bwd"))
 
 
 def test_bwd_classify_windows():
@@ -115,6 +116,33 @@ def test_bwd_false_positives_from_tight_loops():
     stats = k.bwd.stats
     assert stats.false_positives > 0
     assert stats.specificity < 1.0
+
+
+def test_bwd_deschedules_counted_once_per_detection():
+    """Each BWD deschedule counts once in its task's schedstats, so the
+    per-task sum and the machine total equal the monitor's count."""
+    from repro.telemetry.schedstats import snapshot
+
+    cfg = optimized_config(cores=2, seed=0, vb=False, bwd=True)
+    k = Kernel(cfg)
+    flag = SpinFlag("never")
+
+    def spinner():
+        yield SpinUntilFlag(flag, 1)
+
+    def worker():
+        yield Compute(20 * MS)
+
+    for i in range(3):
+        k.spawn(spinner(), name=f"s{i}")
+    for i in range(2):
+        k.spawn(worker(), name=f"w{i}")
+    k.run_for(10 * MS)
+    count = k.bwd.stats.deschedules
+    assert count > 0
+    assert sum(t.stats.bwd_deschedules for t in k.tasks) == count
+    assert snapshot(k)["machine"]["bwd_deschedules"] == count
+    k.shutdown()
 
 
 def test_bwd_timer_overhead_charged():

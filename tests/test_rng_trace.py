@@ -56,13 +56,14 @@ _RANGES = (1, 2, 3, 7, 10, 16, 33, 1000, 150_000, 2**31 + 5, 2**32 - 1,
 @pytest.mark.parametrize("seed", [0, 1, 2021, 77])
 def test_scalar_draws_replay_numpy_exactly(seed):
     """``ScalarDraws`` gives numpy's exact sequence over interleaved
-    ``random``/``integers``/``exponential`` calls on one generator, with
-    the spare 32-bit half carried across the other kinds of draw."""
+    ``random``/``integers``/``exponential``/``poisson`` calls on one
+    generator, with the spare 32-bit half carried across the other kinds
+    of draw."""
     ref = RngStreams(seed).stream("kernel.sched")
     draws = RngStreams(seed).draws("kernel.sched")
     pick = random.Random(seed)
     for _ in range(5_000):
-        kind = pick.randrange(4)
+        kind = pick.randrange(5)
         if kind == 0:
             assert draws.random() == ref.random()
         elif kind == 1:
@@ -73,6 +74,10 @@ def test_scalar_draws_replay_numpy_exactly(seed):
             assert got == int(ref.integers(low, high))
         elif kind == 2:
             assert draws.exponential(150_000.0) == ref.exponential(150_000.0)
+        elif kind == 3:
+            # Small and large means: numpy's two Poisson algorithms.
+            lam = pick.choice((0.5, 6.0, 337.0, 6667.0))
+            assert draws.poisson(lam) == ref.poisson(lam)
         else:
             # Runs of 32-bit draws: both halves of a word in turn.
             for _ in range(pick.randrange(1, 4)):
@@ -81,8 +86,8 @@ def test_scalar_draws_replay_numpy_exactly(seed):
     ours = draws.generator.bit_generator.state
     theirs = ref.bit_generator.state
     assert ours["state"] == theirs["state"]
-    assert draws._spare == (theirs["uinteger"] if theirs["has_uint32"]
-                            else None)
+    assert draws.spare == (theirs["uinteger"] if theirs["has_uint32"]
+                           else None)
 
 
 def test_scalar_draws_one_helper_per_stream():
