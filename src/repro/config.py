@@ -28,7 +28,13 @@ SEC = 1_000_000_000
 
 
 class ExecMode(enum.Enum):
-    """Where the workload runs; PLE is only available under a hypervisor."""
+    """Where the workload runs; PLE is only available under a hypervisor.
+
+    The model reads the mode only to arm PLE: ``SimConfig.__post_init__``
+    refuses PLE outside a VM, and ``Kernel.__init__`` starts the PLE timer
+    only in one.  Nothing else charges a native, container or VM cost, so
+    a kernel without PLE runs the same simulation in every mode.
+    """
 
     NATIVE = "native"
     CONTAINER = "container"
@@ -224,6 +230,8 @@ class SimConfig:
     ple: PleConfig = field(default_factory=PleConfig)
     profiling: ProfilingConfig = field(default_factory=ProfilingConfig)
     user: UserSyncCosts = field(default_factory=UserSyncCosts)
+    # Read only to arm PLE, by __post_init__ and Kernel.__init__ (see
+    # ExecMode); ple_config sets VM, every other config leaves the default.
     mode: ExecMode = ExecMode.CONTAINER
     online_cpus: int | None = None  # None = all CPUs in the topology
     seed: int = 2021
@@ -251,7 +259,6 @@ def vanilla_config(
     cores: int = 8,
     *,
     smt: bool = False,
-    mode: ExecMode = ExecMode.CONTAINER,
     seed: int = 2021,
     policy: str | None = None,
     **hw_overrides,
@@ -263,16 +270,13 @@ def vanilla_config(
     are 2 hyperthreads on each of ``cores/2`` physical cores.
     """
     hw = HardwareConfig(smt=2 if smt else 1, **hw_overrides)
-    return SimConfig(
-        hardware=hw, mode=mode, online_cpus=cores, seed=seed, policy=policy
-    )
+    return SimConfig(hardware=hw, online_cpus=cores, seed=seed, policy=policy)
 
 
 def optimized_config(
     cores: int = 8,
     *,
     smt: bool = False,
-    mode: ExecMode = ExecMode.CONTAINER,
     seed: int = 2021,
     vb: bool = True,
     bwd: bool = True,
@@ -283,7 +287,6 @@ def optimized_config(
     hw = HardwareConfig(smt=2 if smt else 1, **hw_overrides)
     return SimConfig(
         hardware=hw,
-        mode=mode,
         online_cpus=cores,
         seed=seed,
         vb=VirtualBlockingConfig(enabled=vb),

@@ -513,15 +513,16 @@ _FIG13_STAGES = 960
 
 
 def _fig13_settings(p: ReportParams, env: str):
-    mode = "vm" if env == "kvm" else "container"
+    # Only PLE tells the two environments apart: the container and kvm
+    # vanilla and optimized points are one experiment each, run once.
     settings = [
-        ("8T(vanilla)", vanilla_desc(8, p.seed, mode=mode), 8),
-        ("32T(vanilla)", vanilla_desc(8, p.seed, mode=mode), 32),
+        ("8T(vanilla)", vanilla_desc(8, p.seed), 8),
+        ("32T(vanilla)", vanilla_desc(8, p.seed), 32),
     ]
     if env == "kvm":
         settings.append(("32T(PLE)", ple_desc(8, p.seed), 32))
     settings.append(
-        ("32T(optimized)", optimized_desc(8, p.seed, mode=mode, vb=False), 32)
+        ("32T(optimized)", optimized_desc(8, p.seed, vb=False), 32)
     )
     return settings
 
@@ -566,13 +567,11 @@ _FIG14_THREADS = (8, 16, 32)
 
 
 def _fig14_settings(p: ReportParams, env: str):
-    mode = "vm" if env == "vm" else "container"
-    settings = [("vanilla", vanilla_desc(8, p.seed, mode=mode))]
+    # As in fig13, only the PLE point is the VM's own experiment.
+    settings = [("vanilla", vanilla_desc(8, p.seed))]
     if env == "vm":
         settings.append(("PLE", ple_desc(8, p.seed)))
-    settings.append(
-        ("optimized", optimized_desc(8, p.seed, mode=mode, vb=False))
-    )
+    settings.append(("optimized", optimized_desc(8, p.seed, vb=False)))
     return settings
 
 
@@ -734,12 +733,14 @@ def _serve_durations(p: ReportParams) -> tuple[float, float]:
     return (80.0, 10.0) if p.quick else (300.0, 30.0)
 
 
-def _serve_colo_config(p: ReportParams, mode: str, setting: str) -> dict:
+def _serve_colo_config(p: ReportParams, setting: str) -> dict:
+    """The kernel of a colocation point.  Its mode is only a label: the
+    native, container and VM rows without PLE share one simulation."""
     if setting == "ple":
         return ple_desc(_SERVE_CORES, p.seed)
     if setting == "optimized":
-        return optimized_desc(_SERVE_CORES, p.seed, mode=mode)
-    return vanilla_desc(_SERVE_CORES, p.seed, mode=mode)
+        return optimized_desc(_SERVE_CORES, p.seed)
+    return vanilla_desc(_SERVE_CORES, p.seed)
 
 
 def _specs_serve(p: ReportParams) -> list[ExperimentSpec]:
@@ -794,7 +795,7 @@ def _specs_serve(p: ReportParams) -> list[ExperimentSpec]:
         ExperimentSpec(
             id=f"serve/colo/{mode}/{setting}",
             runner="serving_colo",
-            params={"config": _serve_colo_config(p, mode, setting),
+            params={"config": _serve_colo_config(p, setting),
                     "workers": _SERVE_WORKERS, "rate": _SERVE_COLO_RATE,
                     "batch_kernel": "cg", "batch_threads": 16, **common},
             seed=p.seed,
@@ -1230,8 +1231,10 @@ def run_full_report(
         "quick": quick,
         "jobs": runner.jobs,
         "elapsed_s": time.time() - t0,
+        # Beside the digested "results": which spec each shared result
+        # was copied from (spec id -> representative id).
         "cache": {"hits": st.cache_hits, "simulated": st.executed,
-                  "shared": st.shared,
+                  "shared": st.shared, "shared_from": st.shared_from,
                   "retried": st.retried, "failed": st.failed,
                   "quarantined": st.quarantined},
         "failures": st.failures,

@@ -46,7 +46,6 @@ from typing import Any, Callable
 
 from .. import __version__
 from ..config import (
-    ExecMode,
     SimConfig,
     optimized_config,
     ple_config,
@@ -109,20 +108,22 @@ def _with_policy(d: dict, policy: str | None) -> dict:
     return d
 
 
+# The vanilla and optimized descriptors carry no execution mode: the mode
+# only arms PLE (see ExecMode), so a native, container or VM run of one of
+# these kernels is one experiment, and the runner simulates it once.
 def vanilla_desc(cores: int, seed: int, *, smt: bool = False,
-                 mode: str = "container",
                  policy: str | None = None) -> dict:
     return _with_policy(
-        {"kind": "vanilla", "cores": cores, "seed": seed, "smt": smt,
-         "mode": mode}, policy)
+        {"kind": "vanilla", "cores": cores, "seed": seed, "smt": smt},
+        policy)
 
 
 def optimized_desc(cores: int, seed: int, *, smt: bool = False,
-                   mode: str = "container", vb: bool = True,
-                   bwd: bool = True, policy: str | None = None) -> dict:
+                   vb: bool = True, bwd: bool = True,
+                   policy: str | None = None) -> dict:
     return _with_policy(
         {"kind": "optimized", "cores": cores, "seed": seed, "smt": smt,
-         "mode": mode, "vb": vb, "bwd": bwd}, policy)
+         "vb": vb, "bwd": bwd}, policy)
 
 
 def ple_desc(cores: int, seed: int, *, policy: str | None = None) -> dict:
@@ -148,15 +149,13 @@ def make_config(desc: dict) -> SimConfig:
     if kind == "vanilla":
         return vanilla_config(
             cores=desc["cores"], smt=desc.get("smt", False),
-            mode=ExecMode(desc.get("mode", "container")), seed=desc["seed"],
-            policy=policy,
+            seed=desc["seed"], policy=policy,
         )
     if kind == "optimized":
         return optimized_config(
             cores=desc["cores"], smt=desc.get("smt", False),
-            mode=ExecMode(desc.get("mode", "container")), seed=desc["seed"],
-            vb=desc.get("vb", True), bwd=desc.get("bwd", True),
-            policy=policy,
+            seed=desc["seed"], vb=desc.get("vb", True),
+            bwd=desc.get("bwd", True), policy=policy,
         )
     if kind == "ple":
         return ple_config(cores=desc["cores"], seed=desc["seed"],
@@ -653,6 +652,8 @@ class RunnerStats:
     cache_hits: int = 0
     executed: int = 0
     shared: int = 0  # specs given a copy of an identical spec's result
+    # shared spec id -> the id of the spec whose simulation it copied
+    shared_from: dict = field(default_factory=dict)
     retried: int = 0
     failed: int = 0  # specs abandoned after retries (keep-going mode)
     quarantined: int = 0  # corrupt cache entries moved aside
@@ -926,6 +927,7 @@ class ParallelRunner:
         for i in members:
             results[i] = copy.deepcopy(value)
             self.stats.shared += 1
+            self.stats.shared_from[specs[i].id] = specs[rep].id
             self._complete(specs[i])
 
     def _run_inline(self, specs, results, order, groups) -> None:

@@ -3,6 +3,7 @@ handling, and the full-report flag resolution."""
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import io
@@ -13,6 +14,7 @@ import time
 
 import pytest
 
+from repro.config import ExecMode, optimized_config, ple_config, vanilla_config
 from repro.errors import ReproError
 from repro.runners.full_report import (
     QUICK_SCALE,
@@ -27,6 +29,7 @@ from repro.runners.parallel import (
     ExperimentSpec,
     ParallelRunner,
     cache_key,
+    canonical_json,
     classify_failure,
     execute_spec_timed,
     vanilla_desc,
@@ -274,6 +277,8 @@ def test_identical_specs_simulate_once(monkeypatch, tmp_path, jobs):
     assert sorted(executed()) == sorted([specs[0].id, specs[2].id])
     assert r.stats.executed == 2 and r.stats.shared == 1
     assert r.stats.completed == 3 and r.stats.cache_hits == 0
+    # The copy names the spec whose simulation it came from.
+    assert r.stats.shared_from == {specs[1].id: specs[0].id}
     assert results[0] == results[1] != results[2]
     # The copy is what the twin's own simulation gives.
     assert results[1] == ParallelRunner(jobs=1, use_cache=False).run(
@@ -313,12 +318,68 @@ def test_shared_experiments_cache_one_entry_each(tmp_path):
     cold = ParallelRunner(jobs=2, cache_dir=tmp_path)
     res_cold = cold.run(specs)
     assert cold.stats.executed == len(distinct) and cold.stats.shared == 1
+    assert cold.stats.shared_from == {specs[1].id: specs[0].id}
     entries = sorted(p for p in os.listdir(tmp_path) if p.endswith(".json"))
     assert entries == sorted(k + ".json" for k in distinct)
     warm = ParallelRunner(jobs=2, cache_dir=tmp_path)
     assert warm.run(specs) == res_cold
     assert warm.stats.cache_hits == len(specs)
     assert warm.stats.executed == 0 and warm.stats.shared == 0
+    # A cache hit is not a copy: every spec read its own entry.
+    assert warm.stats.shared_from == {}
+
+
+# ---------------------------------------------------------------------
+# Environment twins: without PLE the execution mode is only a label
+# ---------------------------------------------------------------------
+def _pipeline_json(config) -> str:
+    from repro.workloads.pipeline import spin_pipeline_run
+
+    r = spin_pipeline_run(config, "ticket", 16, total_stages=128)
+    return canonical_json(dataclasses.asdict(r))
+
+
+def test_mode_changes_nothing_without_ple():
+    """The invariant that lets native, container and VM twins share one
+    simulation: a kernel without PLE gives the same result, stats
+    included, in every mode.  A cost charged to the VM alone would break
+    it, and the report's descriptors would then need their mode back."""
+    for base in (vanilla_config(cores=4), optimized_config(cores=4, vb=False)):
+        runs = {_pipeline_json(base.replace(mode=mode)) for mode in ExecMode}
+        assert len(runs) == 1, base
+    # The comparison sees what the VM does add: PLE moves the stats.
+    assert _pipeline_json(ple_config(cores=4)) != _pipeline_json(
+        vanilla_config(cores=4).replace(mode=ExecMode.VM))
+
+
+def test_environment_twins_share_their_container_run():
+    """Every non-PLE point of fig13's kvm rows, fig14's vm rows and the
+    native and VM colocation rows is its container twin's experiment; a
+    PLE point is an experiment of its own."""
+    specs = [s for _, sec in build_all_specs(ReportParams(0.3, True, 2021))
+             for s in sec]
+    key = {s.id: cache_key(s) for s in specs}
+    twins = {}
+    for spec_id in key:
+        parts = spec_id.split("/")
+        if parts[0] == "fig13" and parts[1] == "kvm":
+            twins[spec_id] = "/".join(["fig13", "container", *parts[2:]])
+        elif parts[0] == "fig14" and parts[2] == "vm":
+            twins[spec_id] = "/".join([*parts[:2], "container", *parts[3:]])
+        elif parts[:2] == ["serve", "colo"] and parts[2] != "container":
+            twins[spec_id] = "/".join(["serve", "colo", "container", parts[3]])
+    ple = {s.id for s in specs if s.params.get("config", {}).get("kind")
+           == "ple"}
+    assert len(ple) == 17 and ple <= set(twins)
+    assert len(twins) - len(ple) == 46
+    for spec_id, twin in twins.items():
+        if spec_id in ple:
+            assert twin not in key, spec_id
+        else:
+            assert key[spec_id] == key[twin], spec_id
+    owners = collections.Counter(key.values())
+    for spec_id in ple:
+        assert owners[key[spec_id]] == 1, spec_id
 
 
 # ---------------------------------------------------------------------
