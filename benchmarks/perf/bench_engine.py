@@ -52,7 +52,7 @@ def _drive_cancel_heavy(n_events: int) -> tuple[int, int]:
         decoys.append(e.schedule(50_000_000, _never))
         decoys.append(e.schedule(60_000_000, _never))
         while len(decoys) > 64:
-            decoys.popleft().cancel()
+            e.cancel(decoys.popleft())
         if e.events_run % 256 == 0:
             q = e.queue_len()
             if q > peak:
@@ -64,7 +64,7 @@ def _drive_cancel_heavy(n_events: int) -> tuple[int, int]:
         e.schedule(_PERIODS[chain], tick, chain)
     e.run(max_events=n_events + 1)
     for h in decoys:
-        h.cancel()
+        e.cancel(h)
     return e.events_run, peak
 
 
@@ -76,7 +76,7 @@ def _drive(n_events: int) -> int:
         # (the slice-expiry pattern).
         h = e.schedule(_PERIODS[chain], tick, chain)
         if e.events_run % 16 == 0:
-            h.cancel()
+            e.cancel(h)
             e.schedule(_PERIODS[chain], tick, chain)
         if e.events_run >= n_events:
             e.stop()

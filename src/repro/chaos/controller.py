@@ -22,7 +22,6 @@ from .faults import FaultEvent, InjectionPlan
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import Kernel
     from ..kernel.task import Task
-    from ..sim.engine import EventHandle
 
 
 @dataclass
@@ -263,7 +262,7 @@ class ChaosController:
     # ------------------------------------------------------------------
     def schedule_wake(
         self, t: int, fn: Callable[..., Any], task: "Task"
-    ) -> "EventHandle | None":
+    ) -> list | None:
         """Stand-in for ``engine.schedule_at`` on wake completions.
 
         Outside any active window this is a plain pass-through, so an

@@ -189,7 +189,7 @@ class InvariantChecker:
                         task=curr.name,
                     )
                 ev = cpu.event
-                if ev is None or ev.cancelled:
+                if ev is None or ev[2] is None:
                     fail(
                         "cpu-event-armed",
                         f"cpu{cpu.id} runs {curr.name} with no live "

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..sim.engine import Engine, EventHandle
+from ..sim.engine import Engine
 
 
 class HrTimer:
@@ -28,7 +28,7 @@ class HrTimer:
         self.callback = callback
         self.name = name
         self.fires = 0
-        self._handle: EventHandle | None = None
+        self._handle: list | None = None  # the armed engine entry
         self._active = False
 
     def start(self) -> None:
@@ -55,13 +55,14 @@ class HrTimer:
         jitter racing the scheduler."""
         if not self._active or self._handle is None:
             return False
-        target = max(self.engine.now, self._handle.time + delta_ns)
-        self._handle.cancel()
-        self._handle = self.engine.schedule_at(target, self._fire)
+        engine = self.engine
+        target = max(engine.now, self._handle[0] + delta_ns)
+        engine.cancel(self._handle)
+        self._handle = engine.schedule_at(target, self._fire)
         return True
 
     def cancel(self) -> None:
         self._active = False
         if self._handle is not None:
-            self._handle.cancel()
+            self.engine.cancel(self._handle)
             self._handle = None

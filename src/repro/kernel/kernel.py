@@ -555,7 +555,7 @@ class Kernel:
     # ==================================================================
     def _cancel_cpu_event(self, cpu: CpuState) -> None:
         if cpu.event is not None:
-            cpu.event.cancel()
+            self.engine.cancel(cpu.event)
             cpu.event = None
 
     def _sync_current(self, cpu: CpuState) -> None:
@@ -686,10 +686,11 @@ class Kernel:
         end = self._advance(cpu, cpu.rq.curr)
         if end is None:
             return
+        engine = self.engine
         ev = cpu.event
-        if ev is not None and not ev.cancelled:
-            ev.cancel()
-        cpu.event = self.engine.schedule_at(end, self._cpu_event_cb, cpu)
+        if ev is not None:
+            engine.cancel(ev)
+        cpu.event = engine.schedule_at(end, self._cpu_event_cb, cpu)
 
     def _advance(self, cpu: CpuState, task: Task) -> int | None:
         """Run ``task``'s program up to its next action and return the

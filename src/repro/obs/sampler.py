@@ -58,7 +58,7 @@ class Sampler:
 
     def stop(self) -> None:
         if self._event is not None:
-            self._event.cancel()
+            self.kernel.engine.cancel(self._event)
             self._event = None
 
     def _tick(self) -> None:

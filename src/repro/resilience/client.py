@@ -121,8 +121,7 @@ class ResilientClients:
             req = ClientRequest(orig.conn + n * self._stride,
                                 orig.arrival_ns, orig.payload)
         if probe:
-            # Frozen dataclass; the extra attribute rides in __dict__.
-            object.__setattr__(req, "degraded", True)
+            req.degraded = True
             self.stats.degraded += 1
         ent = (flight, probe, req)
         self._attempts[id(req)] = ent
@@ -137,12 +136,10 @@ class ResilientClients:
             self._retry_or_fail(flight)
             return
         # Admitted (or silently tail-dropped — the timeout finds out).
-        # The closure holds the entry itself, not the id() key: the key
+        # The event carries the entry itself, not the id() key: the key
         # is only unique while the request object is alive, and a settled
         # attempt's slot can be reused by a later allocation.
-        self.kernel.engine.schedule(
-            self._timeout_ns, lambda e=ent: self._on_timeout(e)
-        )
+        self.kernel.engine.schedule(self._timeout_ns, self._on_timeout, ent)
 
     def _on_timeout(self, ent: tuple) -> None:
         flight, probe, req = ent
@@ -166,9 +163,7 @@ class ResilientClients:
             backoff = p.backoff_base_us * p.backoff_mult ** (n - 1)
             backoff *= 1.0 + p.jitter * float(self._rng.random())
             self.kernel.engine.schedule(
-                max(1, int(backoff * US)),
-                lambda f=flight, i=n: self._dispatch(f, i),
-            )
+                max(1, int(backoff * US)), self._dispatch, flight, n)
             return
         flight.settled = True
         self.stats.failed += 1

@@ -106,7 +106,8 @@ class ServerGuard:
             return True
         target = int(p.codel_target_us * US)
         interval = int(p.codel_interval_us * US)
-        sojourn = now - getattr(req, "enqueue_ns", req.arrival_ns)
+        enqueued = req.enqueue_ns
+        sojourn = now - (req.arrival_ns if enqueued is None else enqueued)
         if sojourn < target:
             self._first_above_ns = None
             self._dropping = False

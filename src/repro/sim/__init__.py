@@ -1,7 +1,7 @@
 """Discrete-event simulation core: engine, deterministic RNG, tracing."""
 
-from .engine import Engine, EventHandle
+from .engine import Engine
 from .rng import RngStreams
 from .trace import TraceRecorder, TraceEvent
 
-__all__ = ["Engine", "EventHandle", "RngStreams", "TraceRecorder", "TraceEvent"]
+__all__ = ["Engine", "RngStreams", "TraceRecorder", "TraceEvent"]

@@ -1,16 +1,20 @@
 """Discrete-event engine with an integer-nanosecond clock.
 
-Events live in one binary heap of ``(time, seq, handle)`` entries, where
-``seq`` is a global schedule counter.  Entries are unique, so the heap
-pops events in exactly ``(time, schedule order)`` and tuple comparison
-never reaches the handle; every simulation is bit-reproducible for a
-fixed seed.
+Events live in one binary heap of ``[time, seq, fn, args]`` entries,
+where ``seq`` is a global schedule counter.  Keys are unique, so the heap
+pops events in exactly ``(time, schedule order)`` and list comparison
+never reaches ``fn``; every simulation is bit-reproducible for a fixed
+seed.
 
-Cancellation is lazy: :class:`EventHandle` carries a ``cancelled`` flag,
-and a cancelled entry stays in the heap until it surfaces at the top,
-where the run loop and ``peek_time`` drop it for good.  A live-event
-counter keeps ``pending`` O(1), and the heap is rebuilt without the
-cancelled entries once they outnumber the live ones.
+The heap entry is the event record: ``schedule_at`` and ``schedule``
+return the entry itself, and its owner cancels it with
+:meth:`Engine.cancel`.  An entry is dead once it has fired or been
+cancelled, and a dead entry has ``entry[2] is None``; cancelling a dead
+entry is a no-op.  Cancellation is lazy: a cancelled entry stays in the
+heap until it surfaces at the top, where the run loop and ``peek_time``
+drop it for good.  A live-event counter keeps ``pending`` O(1), and the
+heap is rebuilt without the cancelled entries once they outnumber the
+live ones.
 
 Run-ahead: a callback that knows its own next event may run it in place
 instead of scheduling it, when the event's time ``t`` is strictly earlier
@@ -63,54 +67,6 @@ def clear_soft_deadline() -> None:
     _SOFT_DEADLINE = None
 
 
-class EventHandle:
-    """Handle to a scheduled event; ``cancel()`` prevents its callback."""
-
-    __slots__ = ("time", "fn", "args", "cancelled", "_engine")
-
-    def __init__(
-        self,
-        time: int,
-        fn: Callable[..., Any],
-        args: tuple,
-        engine: "Engine | None" = None,
-    ):
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self._engine = engine
-
-    def cancel(self) -> None:
-        if self.cancelled:
-            return
-        self.cancelled = True
-        # The owning engine keeps a live-event counter so ``pending`` is
-        # O(1); tell it this event will never fire.  ``_engine`` is cleared
-        # once the event fires, so a late cancel() cannot double-decrement.
-        engine = self._engine
-        self._engine = None
-        if engine is not None:
-            engine._live -= 1
-            # Cancel-heavy workloads (slice-expiry churn, torn-down
-            # timers) would otherwise grow the heap with entries that
-            # only wait to be popped; drop them once they outnumber the
-            # live ones.
-            n = len(engine.heap)
-            if n > 64 and engine._live * 2 < n:
-                engine._compact()
-        # Drop references so cancelled events do not pin large objects
-        # while they wait to be popped from the heap.
-        self.fn = _noop
-        self.args = ()
-
-
-def _noop(*_args) -> None:  # pragma: no cover - trivial
-    return None
-
-
-_new_handle = EventHandle.__new__
-
 # The run-ahead bound of a run() with no ``until``: later than any event.
 _FOREVER = 1 << 62
 
@@ -125,7 +81,7 @@ class Engine:
         self.now: int = 0
         # Read-only outside the engine: run-ahead callbacks compare with
         # the top entry's time, ``heap[0][0]`` (see the module docstring).
-        self.heap: list[tuple[int, int, EventHandle]] = []
+        self.heap: list[list] = []
         self._seq = 0  # global schedule counter: the heap's tie-breaker
         self._live = 0  # queued entries not cancelled
         self.events_run = 0
@@ -149,34 +105,48 @@ class Engine:
         O(queue) — used by the invariant checker to cross-check the O(1)
         ``pending`` counter; never called on the hot path.
         """
-        return sum(1 for entry in self.heap if not entry[2].cancelled)
+        return sum(1 for entry in self.heap if entry[2] is not None)
 
     def queue_len(self) -> int:
         """Raw heap length, cancelled entries included."""
         return len(self.heap)
 
-    def schedule_at(self, time: int, fn: Callable[..., Any], *args) -> EventHandle:
+    def schedule_at(self, time: int, fn: Callable[..., Any], *args) -> list:
+        """Queue ``fn(*args)`` at ``time``; returns the heap entry
+        ``[time, seq, fn, args]``, which :meth:`cancel` takes."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
-        # Build the handle without the __init__ call frame — this is the
-        # single most-executed allocation in a simulation.
-        handle = _new_handle(EventHandle)
-        handle.time = time
-        handle.fn = fn
-        handle.args = args
-        handle.cancelled = False
-        handle._engine = self
         seq = self._seq = self._seq + 1
-        heappush(self.heap, (time, seq, handle))
+        # One list is the whole record: the single most-executed
+        # allocation in a simulation.
+        entry = [time, seq, fn, args]
+        heappush(self.heap, entry)
         self._live += 1
-        return handle
+        return entry
 
-    def schedule(self, delay: int, fn: Callable[..., Any], *args) -> EventHandle:
+    def schedule(self, delay: int, fn: Callable[..., Any], *args) -> list:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         return self.schedule_at(self.now + delay, fn, *args)
+
+    def cancel(self, entry: list) -> None:
+        """Prevent a queued event's callback; a no-op on a dead entry
+        (one that has fired or was cancelled)."""
+        if entry[2] is None:
+            return
+        # Drop the references so a cancelled event does not pin large
+        # objects while it waits to be popped from the heap.
+        entry[2] = None
+        entry[3] = ()
+        self._live -= 1
+        # Cancel-heavy workloads (slice-expiry churn, torn-down timers)
+        # would otherwise grow the heap with entries that only wait to
+        # be popped; drop them once they outnumber the live ones.
+        n = len(self.heap)
+        if n > 64 and self._live * 2 < n:
+            self._compact()
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled entries.
@@ -186,7 +156,7 @@ class Engine:
         loop and run-ahead callbacks hold local aliases to the heap.
         """
         heap = self.heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heap[:] = [entry for entry in heap if entry[2] is not None]
         heapify(heap)
 
     def peek_time(self) -> int | None:
@@ -197,7 +167,7 @@ class Engine:
         heap = self.heap
         while heap:
             entry = heap[0]
-            if not entry[2].cancelled:
+            if entry[2] is not None:
                 return entry[0]
             heappop(heap)
         return None
@@ -220,19 +190,19 @@ class Engine:
         """Run the next live event. Returns False if none remain."""
         heap = self.heap
         while heap:
-            time, _seq, handle = heappop(heap)
-            if not handle.cancelled:
+            entry = heappop(heap)
+            fn = entry[2]
+            if fn is not None:
                 break
         else:
             return False
-        self.now = time
+        self.now = entry[0]
         self.events_run += 1
         self._live -= 1
-        # Mark consumed: a late cancel() is a no-op, and owners holding the
-        # handle can see it needs no cancellation (one flag test, no call).
-        handle.cancelled = True
-        handle._engine = None
-        handle.fn(*handle.args)
+        # Mark it dead: a late cancel() is a no-op, and owners holding
+        # the entry can see it needs no cancellation.
+        entry[2] = None
+        fn(*entry[3])
         cb = self.on_event
         if cb is not None:
             cb()
@@ -262,8 +232,9 @@ class Engine:
                     self.poll_deadline()
                 # Inlined step(): pop the next live entry.
                 while heap:
-                    t, seq, handle = heappop(heap)
-                    if not handle.cancelled:
+                    entry = heappop(heap)
+                    t, _seq, fn, args = entry
+                    if fn is not None:
                         break
                 else:
                     # Queue empty or fully drained: the run still covers
@@ -273,18 +244,17 @@ class Engine:
                         self.now = until
                     return
                 if until is not None and t > until:
-                    # Not yet due: put it back.  Its key is unique, so it
-                    # keeps its place in the order.
-                    heappush(heap, (t, seq, handle))
+                    # Not yet due: put the same entry back.  Its key is
+                    # unique, so it keeps its place in the order.
+                    heappush(heap, entry)
                     if until > self.now:
                         self.now = until
                     return
                 self.now = t
                 self.events_run += 1
                 self._live -= 1
-                handle.cancelled = True  # consumed (see step())
-                handle._engine = None
-                handle.fn(*handle.args)
+                entry[2] = None  # dead (see step())
+                fn(*args)
                 if on_event is not None:
                     on_event()
                 if self._stop:

@@ -30,8 +30,10 @@ _RUN_CLOSERS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
+    # Treated as immutable; not ``frozen`` because the frozen __init__
+    # (object.__setattr__ per field) runs once per emitted trace point.
     time: int
     kind: str
     cpu: int

@@ -40,13 +40,23 @@ MS = 1_000_000
 SEC = 1_000_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClientRequest:
-    """What the load generator hands to the server's submit function."""
+    """What the load generator hands to the server's submit function.
+
+    Treated as immutable by the load generator; not ``frozen`` because
+    the frozen ``__init__`` (``object.__setattr__`` per field) is
+    measurable at one request per client send.  The resilience layer
+    sets the last two fields on an attempt it dispatches.
+    """
 
     conn: int
     arrival_ns: int
     payload: Any
+    #: a half-open breaker probe, answered with the cheaper response
+    degraded: bool = False
+    #: when admission put it on the server queue (CoDel's sojourn start)
+    enqueue_ns: int | None = None
 
 
 # ---------------------------------------------------------------------------

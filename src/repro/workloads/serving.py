@@ -281,7 +281,7 @@ def _spawn_server(kernel: Kernel, sc: ServingConfig, finish,
                 yield act_acquire[bucket]
                 yield act_slow
                 yield act_release[bucket]
-                if guard is not None and getattr(req, "degraded", False):
+                if guard is not None and req.degraded:
                     yield act_respond_cheap
                 else:
                     yield act_respond
@@ -335,6 +335,7 @@ class _ResilienceRig:
     def __init__(self, kernel: Kernel, policy, faults,
                  tracker: SloTracker):
         from ..resilience import (
+            ADMIT,
             CircuitBreaker,
             ResilienceStats,
             ResilientClients,
@@ -342,6 +343,7 @@ class _ResilienceRig:
             WindowSeries,
         )
 
+        self._admit = ADMIT  # bound once: _transport runs per request
         self.kernel = kernel
         self.policy = policy
         self.faults = faults
@@ -376,14 +378,12 @@ class _ResilienceRig:
         self._route = route
 
     def _transport(self, req) -> str:
-        from ..resilience import ADMIT
-
         ep = self._route(req)
         verdict = self.guard.admit(req, ep)
-        if verdict == ADMIT:
+        if verdict == self._admit:
             # CoDel measures dequeue-time sojourn from here (retries
             # re-enter the queue later than their original arrival).
-            object.__setattr__(req, "enqueue_ns", self.kernel.engine.now)
+            req.enqueue_ns = self.kernel.engine.now
             self.kernel.epoll_post(ep, req)
         return verdict
 

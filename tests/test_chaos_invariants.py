@@ -160,7 +160,7 @@ def test_work_conservation_detected():
 def test_cpu_event_armed_detected():
     k, chk = busy_kernel()
     assert k.cpus[0].rq.curr is not None
-    k.cpus[0].event.cancel()  # running task can now never be preempted
+    k.engine.cancel(k.cpus[0].event)  # the task can now never be preempted
     expect(chk, "cpu-event-armed")
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -56,7 +55,7 @@ def test_cancellation():
     fired = []
     h = e.schedule_at(10, fired.append, "x")
     e.schedule_at(20, fired.append, "y")
-    h.cancel()
+    e.cancel(h)
     e.run()
     assert fired == ["y"]
 
@@ -65,7 +64,7 @@ def test_cancelled_events_not_counted_pending():
     e = Engine()
     h1 = e.schedule_at(10, lambda: None)
     e.schedule_at(20, lambda: None)
-    h1.cancel()
+    e.cancel(h1)
     assert e.pending == 1
 
 
@@ -123,7 +122,7 @@ def test_peek_time_skips_cancelled():
     e = Engine()
     h = e.schedule_at(5, lambda: None)
     e.schedule_at(9, lambda: None)
-    h.cancel()
+    e.cancel(h)
     assert e.peek_time() == 9
 
 
@@ -156,7 +155,7 @@ def test_run_until_on_predrained_queue_advances_clock():
 def test_run_until_with_only_cancelled_events_advances_clock():
     e = Engine()
     h = e.schedule_at(10, lambda: None)
-    h.cancel()
+    e.cancel(h)
     e.run(until=25)
     assert e.now == 25
 
@@ -190,18 +189,44 @@ def test_pending_counter_tracks_schedule_cancel_fire():
     h2 = e.schedule_at(20, lambda: None)
     h3 = e.schedule_at(30, lambda: None)
     assert e.pending == 3
-    h2.cancel()
+    e.cancel(h2)
     assert e.pending == 2
-    h2.cancel()  # double-cancel must not double-decrement
+    e.cancel(h2)  # double-cancel must not double-decrement
     assert e.pending == 2
     assert e.step() is True  # fires h1
     assert e.pending == 1
-    h1.cancel()  # cancel after fire must not decrement
+    e.cancel(h1)  # cancel after fire must not decrement
     assert e.pending == 1
-    h3.cancel()
+    e.cancel(h3)
     assert e.pending == 0
     e.run()
     assert e.pending == 0
+
+
+def test_fired_and_cancelled_entries_read_dead():
+    e = Engine()
+    fired = []
+    a = e.schedule_at(10, fired.append, "a")
+    b = e.schedule_at(20, fired.append, "b")
+    c = e.schedule_at(30, fired.append, "c")
+    assert a == [10, 1, fired.append, ("a",)]
+    assert e.pending == e.recount_live() == 3
+    e.cancel(b)
+    assert b[2] is None and b[3] == ()
+    assert e.pending == e.recount_live() == 2
+    assert e.step() is True
+    assert fired == ["a"] and a[2] is None
+    assert e.pending == e.recount_live() == 1
+    for dead in (a, b, a, b):  # a no-op on either kind of dead entry
+        e.cancel(dead)
+        assert e.pending == e.recount_live() == 1
+    # A not-yet-due entry goes back onto the heap as the same list.
+    e.run(until=25)
+    assert e.heap == [c] and e.heap[0] is c and c[2] is not None
+    e.run()
+    assert fired == ["a", "c"] and c[2] is None
+    e.cancel(c)
+    assert e.pending == e.recount_live() == 0
 
 
 def test_pending_matches_heap_scan():
@@ -215,7 +240,7 @@ def test_pending_matches_heap_scan():
         if op < 0.6:
             handles.append(e.schedule(rng.randrange(1, 50), lambda: None))
         elif op < 0.8 and handles:
-            handles.pop(rng.randrange(len(handles))).cancel()
+            e.cancel(handles.pop(rng.randrange(len(handles))))
         else:
             e.step()
         assert e.pending == e.recount_live()
@@ -265,7 +290,7 @@ def test_engine_compacts_under_cancel_storm():
     e = Engine()
     handles = [e.schedule(1000 + i, lambda: None) for i in range(4096)]
     for h in handles[:-8]:
-        h.cancel()
+        e.cancel(h)
     assert e.pending == 8
     # Compaction must have dropped the dead entries instead of letting
     # the queue hold 4088 tombstones until t=1000.
@@ -282,7 +307,7 @@ def test_engine_compacts_under_cancel_storm():
 
 #: Ops understood by :func:`replay_engine_ops`:
 #:   ("schedule", delay, tag)   schedule at now+delay
-#:   ("cancel", i)              cancel the i-th issued handle (mod count)
+#:   ("cancel", i)              cancel the i-th issued entry (mod count)
 #:   ("run_until", dt)          run(until=now+dt)
 #:   ("step",)                  fire exactly one event, if any
 _op = st.one_of(
@@ -315,9 +340,12 @@ class _ListEngine:
     def schedule(self, delay, fn, *args):
         self._seq += 1
         entry = (self.now + delay, self._seq, fn, args)
-        q = self._q
-        bisect.insort(q, entry)
-        return SimpleNamespace(cancel=lambda: entry in q and q.remove(entry))
+        bisect.insort(self._q, entry)
+        return entry
+
+    def cancel(self, entry) -> None:
+        if entry in self._q:
+            self._q.remove(entry)
 
     def step(self) -> bool:
         if not self._q:
@@ -349,7 +377,7 @@ def replay_engine_ops(engine, ops: list[tuple]) -> dict:
         if tag % 3 == 0:
             handles.append(engine.schedule(tag % 7 + 1, fire, tag + 10_000))
         if tag % 5 == 0 and handles:
-            handles[tag % len(handles)].cancel()
+            engine.cancel(handles[tag % len(handles)])
 
     for op in ops:
         kind = op[0]
@@ -357,7 +385,7 @@ def replay_engine_ops(engine, ops: list[tuple]) -> dict:
             handles.append(engine.schedule(op[1], fire, op[2]))
         elif kind == "cancel":
             if handles:
-                handles[op[1] % len(handles)].cancel()
+                engine.cancel(handles[op[1] % len(handles)])
         elif kind == "run_until":
             engine.run(until=engine.now + op[1])
         else:

@@ -133,6 +133,27 @@ def test_hrtimer_cancel_from_callback():
     assert t.fires == 3
 
 
+def test_hrtimer_nudge_moves_only_the_next_fire():
+    e = Engine()
+    fired = []
+    t = HrTimer(e, 100, lambda now: fired.append(now))
+    assert t.nudge(10) is False  # not armed yet
+    t.start()
+    e.run(until=150)
+    assert t.nudge(30) is True  # 200 -> 230
+    assert e.pending == e.recount_live() == 1  # the old entry is dead
+    e.run(until=500)
+    assert fired == [100, 230, 330, 430]  # later periods keep spacing
+    assert t.nudge(-1_000) is True  # 530 - 1000 clamps at now, 500
+    e.run(until=700)
+    assert fired == [100, 230, 330, 430, 500, 600, 700]
+    t.cancel()
+    assert t.nudge(5) is False
+    assert e.pending == e.recount_live() == 0
+    e.run(until=1_000)
+    assert t.fires == 7
+
+
 def test_hrtimer_positive_period():
     with pytest.raises(ValueError):
         HrTimer(Engine(), 0, lambda now: None)

@@ -1,4 +1,5 @@
-"""No class under ``repro`` keeps 30 or more attributes in an instance dict.
+"""No class under ``repro`` keeps 30 or more attributes in an instance dict,
+and no frozen dataclass is built while the engine runs.
 
 On CPython 3.11 an instance stores its attributes in a values array whose
 keys it shares with the other instances of its class, but only up to 29
@@ -14,6 +15,13 @@ every class defined under ``repro`` whose instances have a ``__dict__``,
 it counts the ``self.<name>`` assignment targets in the methods of its
 MRO, plus any dataclass fields, leaves out the names its MRO's
 ``__slots__`` hold, and fails, naming the class, at 30 or more.
+
+A frozen dataclass's ``__init__`` sets each field through
+``object.__setattr__``: about three times the cost of a slotted
+dataclass's.  So no per-request or per-trace-point record is frozen
+(docs/performance.md, "The heap entry is the event record");
+:func:`test_no_frozen_dataclass_built_inside_engine_run` counts every
+frozen dataclass constructed while ``Engine.run`` runs.
 """
 
 from __future__ import annotations
@@ -27,9 +35,17 @@ import pkgutil
 import textwrap
 
 import repro
+from repro.chaos import FaultEvent, InjectionPlan
+from repro.chaos.invariants import InvariantChecker
 from repro.config import vanilla_config
 from repro.kernel.kernel import Kernel
 from repro.prog.actions import Compute
+from repro.sim.engine import Engine
+from repro.sim.trace import TraceRecorder
+from repro.workloads.memcached import MemcachedConfig, memcached_run
+from repro.workloads.serving import SATURATION_RATE, open_loop_serve
+
+MS = 1_000_000
 
 #: Attributes an instance dict holds before 3.11 stops sharing its keys.
 SHARED_KEYS_MAX = 29
@@ -186,3 +202,70 @@ def test_kernel_and_a_spawned_task_have_no_instance_dict():
     kernel.run_to_completion()
     assert not hasattr(kernel, "__dict__")
     assert not hasattr(task, "__dict__")
+
+
+def test_no_frozen_dataclass_built_inside_engine_run(monkeypatch):
+    frozen = {name: cls for name, cls in repro_classes().items()
+              if dataclasses.is_dataclass(cls)
+              and cls.__dataclass_params__.frozen
+              and "__init__" in vars(cls)}
+    assert "repro.config.SimConfig" in frozen  # the scan sees them
+    running = [0]
+    built: dict[str, int] = {}
+    seen = {"emit": 0, "check_now": 0}
+
+    def counting(name: str, init):
+        def __init__(self, *args, **kwargs):
+            if running[0]:
+                built[name] = built.get(name, 0) + 1
+            init(self, *args, **kwargs)
+        return __init__
+
+    for name, cls in frozen.items():
+        monkeypatch.setattr(cls, "__init__", counting(name, cls.__init__))
+
+    run = Engine.run
+
+    def counted_run(engine, *args, **kwargs):
+        running[0] += 1
+        try:
+            return run(engine, *args, **kwargs)
+        finally:
+            running[0] -= 1
+
+    monkeypatch.setattr(Engine, "run", counted_run)
+
+    def tally(owner, method: str) -> None:
+        inner = getattr(owner, method)
+
+        def wrapper(self, *args, **kwargs):
+            seen[method] += 1
+            return inner(self, *args, **kwargs)
+        monkeypatch.setattr(owner, method, wrapper)
+
+    tally(TraceRecorder, "emit")
+    tally(InvariantChecker, "check_now")
+
+    # The chaos trace ring, the invariant checker and client retries are
+    # all on: a worker dies with requests queued, and their timeouts
+    # retry under the retry budget.
+    plan = InjectionPlan(seed=7, events=(
+        FaultEvent(4 * MS, "worker-crash", {"worker": 0, "dead_ns": 4 * MS}),
+    ))
+    r = open_loop_serve(
+        vanilla_config(cores=4, seed=2021),
+        rate=SATURATION_RATE * 0.5, duration_ms=12.0, warmup_ms=1.0,
+        resilience="retry-budget", faults=plan,
+    )
+    stats = r["resilience"]["stats"]
+    assert stats["worker_restarts"] == 1 and stats["retries"] > 0
+    assert seen["emit"] > 0 and seen["check_now"] > 0
+    memcached_run(vanilla_config(cores=4, seed=8),
+                  MemcachedConfig(workers=4, connections=16),
+                  duration_ms=10, warmup_ms=2)
+    assert not built, (
+        "a frozen dataclass's __init__ sets every field through "
+        "object.__setattr__; give per-event records slots instead. "
+        "Built inside Engine.run: " + ", ".join(
+            f"{name} x{n}" for name, n in sorted(built.items()))
+    )
