@@ -1,18 +1,16 @@
 """Shared helpers for the perf microbenchmark suite.
 
 Each ``bench_*`` module exposes ``run(quick: bool) -> dict`` returning a
-flat JSON-able metrics dict.  ``repeat_best`` runs a timed closure a few
-times and keeps the best (minimum-wall) round — the standard way to damp
-scheduler noise on a shared machine without long runs.
-``repeat_best_ref`` does the same in reference-host seconds, for the
-number the baseline gate compares.
+flat JSON-able metrics dict.  ``repeat_best_ref`` runs a timed closure a
+few times and keeps the best round in reference-host seconds — the
+standard way to damp scheduler noise on a shared machine without long
+runs — so every benchmark reports a ``ref_*`` number beside its raw one.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import time
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.abspath(os.path.join(_HERE, "..", ".."))
@@ -24,20 +22,6 @@ def bootstrap() -> None:
     """Make ``repro`` importable when invoked as a plain script."""
     if _SRC not in sys.path:
         sys.path.insert(0, _SRC)
-
-
-def repeat_best(fn, rounds: int = 3) -> tuple[float, object]:
-    """Run ``fn()`` ``rounds`` times; return (best wall seconds, last
-    return value).  ``fn`` must be idempotent."""
-    best = float("inf")
-    value = None
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        value = fn()
-        wall = time.perf_counter() - t0
-        if wall < best:
-            best = wall
-    return best, value
 
 
 def repeat_best_ref(fn, rounds: int = 3) -> tuple[float, float, object]:

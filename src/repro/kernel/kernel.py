@@ -298,11 +298,11 @@ class Kernel:
         if chaos is not None:
             plan = chaos.plan
             if not self.trace.enabled:
-                # Replay bundles carry a trace tail; keep a small ring even
-                # when no observability session is active.
-                self.trace = TraceRecorder(
-                    enabled=True, capacity=max(plan.trace_tail, 4) * 4
-                )
+                # Replay bundles carry the last trace_tail records; keep
+                # a ring of that size even when no observability session
+                # is active.
+                self.trace = TraceRecorder(enabled=True,
+                                           capacity=plan.trace_tail)
             from ..chaos.controller import ChaosController
 
             self._chaos = ChaosController(self, plan)

@@ -27,6 +27,7 @@ from .. import __version__
 from ..exitcodes import EXIT_FIDELITY_VIOLATION, EXIT_PARTIAL
 from ..hw.memmodel import AccessPattern
 from ..metrics.stats import LatencySummary
+from ..sync.spin import behaviour_twin
 from ..workloads.profiles import SUITE, SyncKind, fig9_profiles
 from ..workloads.serving import DEFAULT_SLO, SATURATION_RATE
 from .parallel import (
@@ -424,21 +425,24 @@ _FIG11_SETTINGS = ("#core-T(vanilla)", "8T(vanilla)", "32T(vanilla)",
 def _fig11_point(p: ReportParams, app: str, cores: int,
                  setting: str) -> ExperimentSpec:
     if setting == "#core-T(vanilla)":
-        nthreads, cfg, pinned = cores, vanilla_desc(cores, p.seed), False
+        nthreads, cfg = cores, vanilla_desc(cores, p.seed)
     elif setting == "8T(vanilla)":
-        nthreads, cfg, pinned = 8, vanilla_desc(cores, p.seed), False
-    elif setting == "32T(vanilla)":
-        nthreads, cfg, pinned = 32, vanilla_desc(cores, p.seed), False
-    elif setting == "32T(pinned)":
-        nthreads, cfg, pinned = 32, vanilla_desc(cores, p.seed), True
+        nthreads, cfg = 8, vanilla_desc(cores, p.seed)
+    elif setting in ("32T(vanilla)", "32T(pinned)"):
+        nthreads, cfg = 32, vanilla_desc(cores, p.seed)
     else:  # 32T(optimized)
-        nthreads, cfg, pinned = 32, suite_opt_desc(app, cores, p.seed), False
+        nthreads, cfg = 32, suite_opt_desc(app, cores, p.seed)
+    params = {"name": app, "nthreads": nthreads, "config": cfg,
+              "work_scale": min(p.scale, 0.5)}
+    # Only pinned programs crash when cores go away (the paper's "crash"
+    # cells); an unpinned point is the same run as its fig01, fig03 or
+    # fig09 twin, and its failure stays a failure.
+    if setting == "32T(pinned)":
+        params.update(pinned=True, crash_ok=True)
     return ExperimentSpec(
         id=f"fig11/{app}/{cores}c/{setting}",
         runner="suite_point",
-        params={"name": app, "nthreads": nthreads, "config": cfg,
-                "work_scale": min(p.scale, 0.5), "pinned": pinned,
-                "crash_ok": True},
+        params=params,
         seed=p.seed,
     )
 
@@ -528,11 +532,15 @@ def _fig13_settings(p: ReportParams, env: str):
 
 
 def _specs_fig13(p: ReportParams) -> list[ExperimentSpec]:
+    # The kernel sees a lock's discipline, and its PAUSE flag only under
+    # PLE, so each point runs the first algorithm it cannot tell apart
+    # (repro.sync.spin) and locks with one behaviour share one run.
     return [
         ExperimentSpec(
             id=f"fig13/{env}/{alg}/{label}",
             runner="spin_pipeline",
-            params={"algorithm": alg, "nthreads": nthreads, "config": cfg,
+            params={"algorithm": behaviour_twin(alg, cfg["kind"] == "ple"),
+                    "nthreads": nthreads, "config": cfg,
                     "total_stages": _FIG13_STAGES},
             seed=p.seed,
         )

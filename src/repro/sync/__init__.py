@@ -2,7 +2,9 @@
 
 * `blocking` — futex-backed pthread-style primitives (mutex, condition
   variable, barrier, semaphore) — benefit from virtual blocking.
-* `spin` — ten spinlock algorithms (Figure 13) — targets of BWD.
+* `spin` — ten spinlock algorithms (Figure 13) — targets of BWD.  The
+  kernel sees four disciplines and a PAUSE flag, so the ten names map
+  onto four lock classes (`ALL_SPINLOCKS`).
 * `spin_then_park` — Mutexee and MCS-TP hybrids (Figure 15 baselines).
 * `shfllock` — SHFLLOCK with queue shuffling and NUMA-aware wakeup.
 """
@@ -11,16 +13,7 @@ from .blocking import Mutex, CondVar, Barrier, Semaphore
 from .rwlock import RwLock
 from .spin import (
     SpinLockBase,
-    TtasLock,
-    TicketLock,
-    McsLock,
-    ClhLock,
-    AlockLs,
-    PartitionedLock,
-    PthreadSpinLock,
     MalthusianLock,
-    CnaLock,
-    AqsLock,
     ALL_SPINLOCKS,
     make_spinlock,
 )
@@ -34,16 +27,7 @@ __all__ = [
     "Semaphore",
     "RwLock",
     "SpinLockBase",
-    "TtasLock",
-    "TicketLock",
-    "McsLock",
-    "ClhLock",
-    "AlockLs",
-    "PartitionedLock",
-    "PthreadSpinLock",
     "MalthusianLock",
-    "CnaLock",
-    "AqsLock",
     "ALL_SPINLOCKS",
     "make_spinlock",
     "Mutexee",

@@ -1,17 +1,25 @@
 """Ten spinlock algorithms (the set studied in Figure 13 / SHFLLOCK [21]).
 
-The simulator cares about the properties that interact with scheduling:
+The simulated kernel sees a spinlock through two properties only:
 
-* **queue discipline** — FIFO locks (ticket, MCS, CLH, array locks, CNA,
-  AQS, Malthusian, partitioned) hand off to one *specific* successor; if
-  that successor is preempted or descheduled, every other spinner waits
-  behind it — the lock-holder/waiter-preemption cascade BWD breaks.
-  Competitive locks (TTAS, pthread spin) let any *running* spinner grab a
-  released lock.
+* **queue discipline** — FIFO locks (ticket, MCS, CLH, array locks,
+  partitioned) hand off to one *specific* successor; if that successor
+  is preempted or descheduled, every other spinner waits behind it — the
+  lock-holder/waiter-preemption cascade BWD breaks.  Competitive locks
+  (TTAS, pthread spin) let any *running* spinner grab a released lock.
+  The Malthusian lock culls waiters into a passive set, and CNA/AQS
+  reorder the queue to prefer same-socket successors.
 * **PAUSE usage** — whether the spin loop executes PAUSE/NOP (visible to
-  PLE in VMs) or is a plain load loop (invisible; Figure 6).
-* **NUMA policy** — CNA/AQS reorder the queue to prefer same-socket
-  successors.
+  PLE in VMs) or is a plain load loop (invisible; Figure 6).  Only the
+  kernel's PLE tick reads it, so it matters only when PLE is armed.
+
+So the ten algorithms are four classes, one per discipline, and a PAUSE
+flag: :data:`ALL_SPINLOCKS` maps each name onto both.  Names with one
+class differ on real hardware in details the model does not charge,
+such as where their waiters spin (coherence traffic), so the kernel
+tells them apart by the PAUSE flag alone, and only under PLE.
+:func:`behaviour_twin` names the algorithm whose simulation stands in
+for another's.
 
 All of them look identical to BWD: a tight, backward-branching,
 miss-free loop.
@@ -30,14 +38,16 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class SpinLockBase:
-    """Common waiter-queue machinery; subclasses set the discipline."""
+    """Waiter-queue machinery with FIFO handoff: the queue head is the
+    designated successor.  Subclasses set the other disciplines."""
 
     fifo: bool = True
-    uses_pause: bool = True
-    algorithm: str = "base"
 
-    def __init__(self, name: str = "", topology: "Topology | None" = None):
-        self.name = name or self.algorithm
+    def __init__(self, name: str = "", topology: "Topology | None" = None,
+                 *, algorithm: str = "", uses_pause: bool = True):
+        self.algorithm = algorithm
+        self.uses_pause = uses_pause
+        self.name = name or algorithm
         self.topology = topology
         self.holder: "Task | None" = None
         self.queue: deque["Task"] = deque()
@@ -92,61 +102,10 @@ class SpinLockBase:
         """Hook for NUMA-aware successor selection."""
 
 
-class TtasLock(SpinLockBase):
-    """Test-and-test-and-set: competitive grab, plain load loop."""
+class CompetitiveLock(SpinLockBase):
+    """Any running spinner may grab a released lock (barging)."""
 
-    algorithm = "ttas"
     fifo = False
-    uses_pause = False
-
-
-class PthreadSpinLock(SpinLockBase):
-    """pthread_spin_lock: competitive, spins with NOP/PAUSE (Figure 6)."""
-
-    algorithm = "pthread"
-    fifo = False
-    uses_pause = True
-
-
-class TicketLock(SpinLockBase):
-    """Ticket lock: strict FIFO by ticket number; global spinning."""
-
-    algorithm = "ticket"
-    fifo = True
-    uses_pause = True
-
-
-class PartitionedLock(SpinLockBase):
-    """Partitioned ticket lock: FIFO, spins on a per-partition slot
-    (reduced coherence traffic; same scheduling behavior as ticket)."""
-
-    algorithm = "partitioned"
-    fifo = True
-    uses_pause = True
-
-
-class AlockLs(SpinLockBase):
-    """Anderson array lock with local spinning: FIFO on array slots."""
-
-    algorithm = "alock-ls"
-    fifo = True
-    uses_pause = False
-
-
-class McsLock(SpinLockBase):
-    """MCS queue lock: FIFO, each waiter spins on its own qnode."""
-
-    algorithm = "mcs"
-    fifo = True
-    uses_pause = True
-
-
-class ClhLock(SpinLockBase):
-    """CLH queue lock: FIFO, spins on the predecessor's qnode."""
-
-    algorithm = "clh"
-    fifo = True
-    uses_pause = True
 
 
 class MalthusianLock(SpinLockBase):
@@ -154,13 +113,11 @@ class MalthusianLock(SpinLockBase):
     to bound concurrency on the lock; the active head is the successor and
     passive waiters are promoted when the active set drains."""
 
-    algorithm = "malth"
-    fifo = True
-    uses_pause = True
     active_limit = 2
 
-    def __init__(self, name: str = "", topology: "Topology | None" = None):
-        super().__init__(name, topology)
+    def __init__(self, name: str = "", topology: "Topology | None" = None,
+                 **kw):
+        super().__init__(name, topology, **kw)
         self.passive: deque["Task"] = deque()
 
     def add_waiter(self, task: "Task") -> None:
@@ -183,11 +140,8 @@ class MalthusianLock(SpinLockBase):
         return super().try_acquire(task)
 
 
-class _NumaAwareLock(SpinLockBase):
+class NumaAwareLock(SpinLockBase):
     """FIFO with same-socket preference on handoff."""
-
-    fifo = True
-    uses_pause = True
 
     def _reorder(self, releaser: "Task") -> None:
         if len(self.queue) < 2:
@@ -199,35 +153,40 @@ class _NumaAwareLock(SpinLockBase):
             self.queue = deque(same + other)
 
 
-class CnaLock(_NumaAwareLock):
-    """Compact NUMA-aware (CNA) qspinlock: same-socket successors first,
-    remote waiters parked on a secondary queue."""
-
-    algorithm = "cna"
-
-
-class AqsLock(_NumaAwareLock):
-    """AQS: shuffle-based NUMA-aware queue spinlock (SHFLLOCK's spin-only
-    variant)."""
-
-    algorithm = "aqs"
-
-
-ALL_SPINLOCKS: dict[str, type[SpinLockBase]] = {
-    cls.algorithm: cls
-    for cls in (
-        AlockLs,
-        ClhLock,
-        MalthusianLock,
-        McsLock,
-        PartitionedLock,
-        PthreadSpinLock,
-        TicketLock,
-        TtasLock,
-        CnaLock,
-        AqsLock,
-    )
+#: Name -> (discipline, spins with PAUSE), in the order
+#: :func:`behaviour_twin` prefers.
+ALL_SPINLOCKS: dict[str, tuple[type[SpinLockBase], bool]] = {
+    # Anderson array lock with local spinning: FIFO on array slots.
+    "alock-ls": (SpinLockBase, False),
+    # CLH queue lock: spins on the predecessor's qnode.
+    "clh": (SpinLockBase, True),
+    # MCS queue lock: each waiter spins on its own qnode.
+    "mcs": (SpinLockBase, True),
+    # Partitioned ticket lock: spins on a per-partition slot.
+    "partitioned": (SpinLockBase, True),
+    # Ticket lock: strict FIFO by ticket number; global spinning.
+    "ticket": (SpinLockBase, True),
+    # pthread_spin_lock: spins with NOP/PAUSE (Figure 6).
+    "pthread": (CompetitiveLock, True),
+    # Test-and-test-and-set: a plain load loop.
+    "ttas": (CompetitiveLock, False),
+    "malth": (MalthusianLock, True),
+    # Compact NUMA-aware (CNA) qspinlock: same-socket successors first,
+    # remote waiters parked on a secondary queue.
+    "cna": (NumaAwareLock, True),
+    # AQS: SHFLLOCK's shuffle-based spin-only variant.
+    "aqs": (NumaAwareLock, True),
 }
+
+
+def _row(algorithm: str) -> tuple[type[SpinLockBase], bool]:
+    try:
+        return ALL_SPINLOCKS[algorithm]
+    except KeyError:
+        raise ProgramError(
+            f"unknown spinlock {algorithm!r}; "
+            f"choose from {sorted(ALL_SPINLOCKS)}"
+        ) from None
 
 
 def make_spinlock(
@@ -236,11 +195,15 @@ def make_spinlock(
     topology: "Topology | None" = None,
 ) -> SpinLockBase:
     """Factory over the ten algorithms of Figure 13."""
-    try:
-        cls = ALL_SPINLOCKS[algorithm]
-    except KeyError:
-        raise ProgramError(
-            f"unknown spinlock {algorithm!r}; "
-            f"choose from {sorted(ALL_SPINLOCKS)}"
-        ) from None
-    return cls(name, topology)
+    cls, uses_pause = _row(algorithm)
+    return cls(name, topology, algorithm=algorithm, uses_pause=uses_pause)
+
+
+def behaviour_twin(algorithm: str, pause_visible: bool) -> str:
+    """The first name in :data:`ALL_SPINLOCKS` that the kernel cannot tell
+    from *algorithm*: the same discipline and, when *pause_visible* (PLE
+    is armed), the same PAUSE flag.  A run of the twin is a run of
+    *algorithm* but for the label in its task names."""
+    cls, uses_pause = _row(algorithm)
+    return next(name for name, (c, pause) in ALL_SPINLOCKS.items()
+                if c is cls and (pause == uses_pause or not pause_visible))

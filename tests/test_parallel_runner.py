@@ -18,6 +18,7 @@ from repro.config import ExecMode, optimized_config, ple_config, vanilla_config
 from repro.errors import ReproError
 from repro.runners.full_report import (
     QUICK_SCALE,
+    SECTIONS,
     ReportParams,
     build_all_specs,
     resolve_scale,
@@ -34,6 +35,8 @@ from repro.runners.parallel import (
     execute_spec_timed,
     vanilla_desc,
 )
+from repro.sync.spin import ALL_SPINLOCKS, behaviour_twin
+from repro.workloads.profiles import SUITE
 
 
 def fig1_subset_specs(work_scale: float = 0.05, seed: int = 2021):
@@ -332,11 +335,14 @@ def test_shared_experiments_cache_one_entry_each(tmp_path):
 # ---------------------------------------------------------------------
 # Environment twins: without PLE the execution mode is only a label
 # ---------------------------------------------------------------------
-def _pipeline_json(config) -> str:
+def _pipeline_json(config, algorithm: str = "ticket",
+                   nthreads: int = 16) -> str:
     from repro.workloads.pipeline import spin_pipeline_run
 
-    r = spin_pipeline_run(config, "ticket", 16, total_stages=128)
-    return canonical_json(dataclasses.asdict(r))
+    r = dataclasses.asdict(
+        spin_pipeline_run(config, algorithm, nthreads, total_stages=128))
+    del r["algorithm"]  # the label; the lock's behaviour is what ran
+    return canonical_json(r)
 
 
 def test_mode_changes_nothing_without_ple():
@@ -355,7 +361,7 @@ def test_mode_changes_nothing_without_ple():
 def test_environment_twins_share_their_container_run():
     """Every non-PLE point of fig13's kvm rows, fig14's vm rows and the
     native and VM colocation rows is its container twin's experiment; a
-    PLE point is an experiment of its own."""
+    PLE point shares no run with a non-PLE point."""
     specs = [s for _, sec in build_all_specs(ReportParams(0.3, True, 2021))
              for s in sec]
     key = {s.id: cache_key(s) for s in specs}
@@ -377,9 +383,104 @@ def test_environment_twins_share_their_container_run():
             assert twin not in key, spec_id
         else:
             assert key[spec_id] == key[twin], spec_id
-    owners = collections.Counter(key.values())
-    for spec_id in ple:
-        assert owners[key[spec_id]] == 1, spec_id
+    # No PLE point shares a non-PLE run.  fig13's share with their lock
+    # twins (see test_fig13_runs_each_lock_behaviour_once); the others
+    # run alone.
+    groups = _key_groups(specs)
+    ple_groups = [g for g in groups if g & ple]
+    assert all(g <= ple for g in ple_groups)
+    assert sorted(len(g) for g in ple_groups if min(g).startswith("fig13/")
+                  ) == [1, 1, 1, 1, 2, 4]
+    assert all(len(g) == 1 for g in ple_groups
+               if not min(g).startswith("fig13/"))
+
+
+def _key_groups(specs) -> set[frozenset[str]]:
+    """The spec ids of each experiment (each distinct cache key)."""
+    groups = collections.defaultdict(set)
+    for s in specs:
+        groups[cache_key(s)].add(s.id)
+    return {frozenset(g) for g in groups.values()}
+
+
+# ---------------------------------------------------------------------
+# Lock-behaviour twins: the kernel sees a spinlock's discipline, and its
+# PAUSE flag only under PLE
+# ---------------------------------------------------------------------
+@pytest.mark.parametrize("make_config, pause_visible", [
+    (lambda: vanilla_config(cores=4), False),
+    (lambda: optimized_config(cores=4, vb=False), False),
+    (lambda: ple_config(cores=4), True),
+], ids=["vanilla", "optimized", "ple"])
+def test_lock_twins_give_equal_results(make_config, pause_visible):
+    """The invariant that lets fig13's lock twins share one simulation:
+    algorithms with one twin give the same result, stats included."""
+    for nthreads in (8, 32):
+        runs = {alg: _pipeline_json(make_config(), alg, nthreads)
+                for alg in ALL_SPINLOCKS}
+        for alg, run in runs.items():
+            twin = behaviour_twin(alg, pause_visible)
+            assert run == runs[twin], (alg, twin, nthreads)
+    if pause_visible:
+        # PLE sees PAUSE, so the split by PAUSE flag is needed.
+        assert runs["clh"] != runs["alock-ls"]
+        assert runs["pthread"] != runs["ttas"]
+
+
+@pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+def test_fig13_runs_each_lock_behaviour_once(quick):
+    fig13 = next(s for s in SECTIONS if s.key == "fig13")
+    specs = fig13.build(ReportParams(QUICK_SCALE if quick else 1.0, quick))
+
+    def ids(envs, algs, setting):
+        return frozenset(f"fig13/{env}/{alg}/{setting}"
+                         for env in envs for alg in algs)
+
+    both = ("container", "kvm")
+    want = {
+        ids(both, algs, setting)
+        for algs in (("alock-ls", "clh", "mcs", "partitioned", "ticket"),
+                     ("malth",), ("pthread", "ttas"), ("cna", "aqs"))
+        for setting in ("8T(vanilla)", "32T(vanilla)", "32T(optimized)")
+    } | {
+        ids(("kvm",), algs, "32T(PLE)")
+        for algs in (("alock-ls",), ("clh", "mcs", "partitioned", "ticket"),
+                     ("malth",), ("pthread",), ("ttas",), ("cna", "aqs"))
+    }
+    assert len(specs) == 70 and len(want) == 18
+    assert _key_groups(specs) == want
+
+
+def test_unpinned_fig11_points_share_their_twins_run():
+    """Only a ``32T(pinned)`` point carries ``pinned`` and ``crash_ok``;
+    every other fig11 point with the kernel, threads and work scale of a
+    fig01, fig03 or fig09 spec is that spec's experiment."""
+    specs = [s for _, sec in build_all_specs(ReportParams(0.3, True, 2021))
+             for s in sec]
+    key = {s.id: cache_key(s) for s in specs}
+    shared = 0
+    for spec in specs:
+        if not spec.id.startswith("fig11/"):
+            continue
+        _, app, cores, setting = spec.id.split("/")
+        if setting == "32T(pinned)":
+            assert spec.params["pinned"] and spec.params["crash_ok"]
+            continue
+        assert not {"pinned", "crash_ok"} & spec.params.keys(), spec.id
+        n = spec.params["nthreads"]
+        if cores == "8c" and setting == "32T(optimized)":
+            twin = f"fig09/{app}/opt"
+        elif cores == "8c":
+            twin = f"fig01/{app}/{n}T"
+        elif cores == "32c" and n == SUITE[app].optimal_threads and (
+                setting != "32T(optimized)"):
+            twin = f"fig03/{app}"
+        else:
+            continue
+        if twin in key:
+            assert key[spec.id] == key[twin], spec.id
+            shared += 1
+    assert shared == 28
 
 
 # ---------------------------------------------------------------------
