@@ -40,7 +40,6 @@ from .config import (
     BwdConfig,
     PleConfig,
     UserSyncCosts,
-    ExecMode,
     vanilla_config,
     optimized_config,
     ple_config,
@@ -73,7 +72,6 @@ __all__ = [
     "BwdConfig",
     "PleConfig",
     "UserSyncCosts",
-    "ExecMode",
     "vanilla_config",
     "optimized_config",
     "ple_config",

@@ -841,24 +841,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_docs)
 
     # Every command that builds kernels honors the process-global
-    # scheduling policy (repro.kernel.policy) and accepts the deprecated
-    # --backend flag (repro.fastpath).  Parsing-only commands have
+    # scheduling policy (repro.kernel.policy).  Parsing-only commands have
     # nothing to schedule, and the chaos parent delegates to its own
     # subcommands below.
-    from .fastpath import add_backend_argument
     from .kernel.policy import add_policy_argument
 
-    backendless = {"list", "analyze", "validate", "docs", "chaos"}
+    policyless = {"list", "analyze", "validate", "docs", "chaos"}
     seen: set[int] = set()
     for name, sp in sub._name_parser_map.items():
-        if name in backendless or id(sp) in seen:
+        if name in policyless or id(sp) in seen:
             continue
         seen.add(id(sp))
-        add_backend_argument(sp)
         add_policy_argument(sp)
     for name, cp in csub._name_parser_map.items():
         if name != "plan":
-            add_backend_argument(cp)
             add_policy_argument(cp)
 
     return ap
@@ -866,14 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    from .fastpath import apply_backend_argument
     from .kernel.policy import apply_policy_argument
 
-    try:
-        apply_backend_argument(args)
-    except ValueError as exc:  # argparse checked --backend: the env is bad
-        print(f"error: REPRO_BACKEND: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
     try:
         apply_policy_argument(args)
         return args.fn(args)

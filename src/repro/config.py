@@ -17,7 +17,6 @@ Times are integer nanoseconds throughout the package.
 from __future__ import annotations
 
 import dataclasses
-import enum
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -25,25 +24,6 @@ from .errors import ConfigError
 US = 1_000
 MS = 1_000_000
 SEC = 1_000_000_000
-
-
-class ExecMode(enum.Enum):
-    """Where the workload runs; PLE is only available under a hypervisor.
-
-    The model reads the mode only to arm PLE: ``SimConfig.__post_init__``
-    refuses PLE outside a VM, and ``Kernel.__init__`` starts the PLE timer
-    only in one.  Nothing else charges a native, container or VM cost, so
-    a kernel without PLE runs the same simulation in every mode.
-    """
-
-    NATIVE = "native"
-    CONTAINER = "container"
-    VM = "vm"
-
-
-# ``Kernel.__init__`` tests this member; an enum member lookup in a
-# function body is slow on Python 3.10 and 3.11 (see repro.kernel.task).
-EXEC_VM = ExecMode.VM
 
 
 @dataclass(frozen=True)
@@ -197,7 +177,12 @@ class BwdConfig:
 
 @dataclass(frozen=True)
 class PleConfig:
-    """Intel pause-loop-exiting model; VM-only (Section 2.4)."""
+    """Intel pause-loop-exiting model (Section 2.4).
+
+    PLE exists only under a hypervisor, and it is the model's only VM
+    mechanism, so enabling it is what makes a config a VM guest.  Without
+    it a native, container or VM run is one simulation.
+    """
 
     enabled: bool = False
     window_ns: int = 50 * US  # detection latency once PAUSE-spinning
@@ -230,9 +215,6 @@ class SimConfig:
     ple: PleConfig = field(default_factory=PleConfig)
     profiling: ProfilingConfig = field(default_factory=ProfilingConfig)
     user: UserSyncCosts = field(default_factory=UserSyncCosts)
-    # Read only to arm PLE, by __post_init__ and Kernel.__init__ (see
-    # ExecMode); ple_config sets VM, every other config leaves the default.
-    mode: ExecMode = ExecMode.CONTAINER
     online_cpus: int | None = None  # None = all CPUs in the topology
     seed: int = 2021
     # Scheduling policy (repro.kernel.policy registry): None defers to the
@@ -242,8 +224,6 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.online_cpus is not None and self.online_cpus < 1:
             raise ConfigError("online_cpus must be >= 1")
-        if self.ple.enabled and self.mode is not ExecMode.VM:
-            raise ConfigError("PLE is only available in VM mode")
         if self.policy not in (None, "cfs"):
             # Lazy import: kernel.policy imports this module's siblings.
             from .kernel.policy import validate_policy_name
@@ -306,7 +286,6 @@ def ple_config(
     hw = HardwareConfig(smt=1, **hw_overrides)
     return SimConfig(
         hardware=hw,
-        mode=ExecMode.VM,
         online_cpus=cores,
         seed=seed,
         ple=PleConfig(enabled=True),

@@ -51,16 +51,6 @@ class InvariantViolation(SimulationError):
         self.details = details or {}
 
 
-class SoftTimeoutError(ReproError, TimeoutError):
-    """A wall-clock soft deadline expired while the engine was running.
-
-    Raised by the event loop's deadline poll (``Engine.run``) as the
-    portable fallback for platforms/threads without ``signal.SIGALRM``.
-    Subclasses :class:`TimeoutError` so generic timeout handling catches
-    it.
-    """
-
-
 class ProgramError(ReproError):
     """A simulated thread program yielded an invalid action."""
 

@@ -1,4 +1,5 @@
-"""Deprecated: the compiled hot core was removed; kept for one version."""
+"""The removed compiled core's loader, kept only because
+``benchmarks/e2e/e2e_bench.py``'s ``prepare`` imports it."""
 
 
 def load_fastcore():

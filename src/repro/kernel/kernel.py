@@ -33,7 +33,7 @@ import math
 import os
 from typing import Any, Generator
 
-from ..config import EXEC_VM, SimConfig
+from ..config import SimConfig
 from ..core.bwd import BwdMonitor
 from ..core.virtual_blocking import VirtualBlockingPolicy
 from ..errors import DeadlockError, ProgramError, SimulationError
@@ -43,7 +43,7 @@ from ..hw.topology import Topology
 from ..obs.hist import Log2Histogram
 from ..obs.session import current_session
 from ..prog import actions as A
-from ..sim.engine import DEADLINE_POLL_MASK, Engine
+from ..sim.engine import Engine
 from ..sim.rng import RngStreams
 from ..sim.trace import TraceRecorder
 from .epoll import EpollInstance
@@ -253,7 +253,7 @@ class Kernel:
             self.bwd.install(self)
         self.ple: PauseLoopExiting | None = None
         self._ple_timer: HrTimer | None = None
-        if config.ple.enabled and config.mode is EXEC_VM:
+        if config.ple.enabled:
             self.ple = PauseLoopExiting(config.ple, len(self.cpus))
             self._ple_timer = HrTimer(
                 self.engine,
@@ -818,9 +818,7 @@ class Kernel:
                 return
             if heap and end < heap[0][0] and end <= engine.ahead_until:
                 engine.now = end
-                n = engine.events_run = engine.events_run + 1
-                if not n & DEADLINE_POLL_MASK:
-                    engine.poll_deadline()
+                engine.events_run += 1
                 continue
             cpu.event = engine.schedule_at(end, self._cpu_event_cb, cpu)
             return

@@ -108,9 +108,10 @@ def _with_policy(d: dict, policy: str | None) -> dict:
     return d
 
 
-# The vanilla and optimized descriptors carry no execution mode: the mode
-# only arms PLE (see ExecMode), so a native, container or VM run of one of
-# these kernels is one experiment, and the runner simulates it once.
+# The vanilla and optimized descriptors carry no execution environment:
+# PLE is the model's only VM mechanism (see PleConfig), so a native,
+# container or VM run of one of these kernels is one experiment, and the
+# runner simulates it once.
 def vanilla_desc(cores: int, seed: int, *, smt: bool = False,
                  policy: str | None = None) -> dict:
     return _with_policy(
@@ -384,18 +385,15 @@ def debug_crash_once(marker_path: str) -> dict:  # for crash-retry tests
     os._exit(17)
 
 
-def debug_spin_sim(max_events: int = 0) -> dict:  # for soft-deadline tests
-    """An engine whose every event schedules the next: with
-    ``max_events=0`` it never terminates on its own, so the only way out
-    is the engine's soft deadline — the portable fallback for platforms
-    without ``SIGALRM`` (see ``repro.sim.engine.set_soft_deadline``)."""
+def debug_spin_sim() -> dict:  # for timeout tests
+    """An engine whose every event schedules the next: it never drains,
+    so the only way out is the spec's ``SIGALRM`` timeout."""
     from ..sim.engine import Engine
 
     eng = Engine()
 
     def tick() -> None:
-        if not max_events or eng.events_run < max_events:
-            eng.schedule(1_000, tick)
+        eng.schedule(1_000, tick)
 
     eng.schedule(1_000, tick)
     eng.run()
@@ -477,9 +475,9 @@ def _alarm_handler(_signum, _frame):  # pragma: no cover - fires in workers
 
 
 def classify_failure(exc: BaseException) -> str:
-    """Coarse failure taxonomy for run summaries: ``timeout`` (SIGALRM or
-    the engine's soft deadline), ``crash`` (the worker process died), or
-    ``exception`` (the runner raised)."""
+    """Coarse failure taxonomy for run summaries: ``timeout`` (the spec's
+    SIGALRM fired), ``crash`` (the worker process died), or ``exception``
+    (the runner raised)."""
     if isinstance(exc, TimeoutError):
         return "timeout"
     if isinstance(exc, BrokenProcessPool):
@@ -572,18 +570,12 @@ def execute_spec(payload: dict, timeout_s: float | None,
                  obs: dict | None = None) -> dict:
     """Worker entry point: run one spec with an in-process timeout.
 
-    The timeout is enforced two ways, both inside the worker so the pool
-    stays alive instead of needing to be torn down:
-
-    * ``SIGALRM`` (POSIX): interrupts *any* hung code, including non-engine
-      loops — but ``signal.SIGALRM``/``setitimer`` do not exist on every
-      platform (notably Windows), where this silently arms nothing.
-    * the engine's *soft deadline* (``repro.sim.engine.set_soft_deadline``):
-      the event loop polls the wall clock every 1024 events and raises
-      ``SoftTimeoutError`` (a ``TimeoutError``) past the deadline.  Portable
-      everywhere, covers every simulation (all runner time is engine time),
-      and is the only timeout on SIGALRM-less platforms — previously those
-      ran unbounded.
+    The timeout is a ``SIGALRM`` armed in the process that runs the spec,
+    so a pool stays alive instead of needing to be torn down.  Its handler
+    raises ``TimeoutError`` at the next bytecode boundary, so it stops any
+    hung code: an engine that never drains, a program generator that loops
+    without yielding, a sleep.  On a platform without ``SIGALRM`` the spec
+    runs untimed.
 
     ``obs`` (keys ``trace_dir``, ``metrics_dir``) wraps the run in an
     ``observe()`` session, ships the trace as
@@ -591,22 +583,18 @@ def execute_spec(payload: dict, timeout_s: float | None,
     telemetry files (schedstats JSON, OpenMetrics text, PSI series JSONL)
     into ``metrics_dir`` (docs/telemetry.md).
     """
-    from ..sim.engine import clear_soft_deadline, set_soft_deadline
-
     fn = RUNNERS.get(payload["runner"])
     if fn is None:
         raise ExperimentError(f"unknown runner {payload['runner']!r}")
-    timed = timeout_s is not None and timeout_s > 0
     use_alarm = (
-        timed
+        timeout_s is not None
+        and timeout_s > 0
         and hasattr(signal, "SIGALRM")
         and hasattr(signal, "setitimer")
     )
     if use_alarm:
         old = signal.signal(signal.SIGALRM, _alarm_handler)
         signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    if timed:
-        set_soft_deadline(timeout_s)
     try:
         if not obs:
             return fn(**payload["params"])
@@ -635,8 +623,6 @@ def execute_spec(payload: dict, timeout_s: float | None,
                 )
         return result
     finally:
-        if timed:
-            clear_soft_deadline()
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, old)

@@ -21,8 +21,7 @@ instead of scheduling it, when the event's time ``t`` is strictly earlier
 than the heap's top entry and no later than ``ahead_until``.  Such an
 event would have been the very next one popped (an entry at the same
 time was scheduled earlier and comes first), so the callback sets
-``now = t``, counts it in ``events_run``, polls the soft deadline every
-``DEADLINE_POLL_MASK + 1`` events, and carries on.  ``run()`` sets
+``now = t``, counts it in ``events_run``, and carries on.  ``run()`` sets
 ``ahead_until`` to its ``until`` and clears it to -1 when it returns;
 it stays -1 under ``max_events``, which must count every event (the
 heap-only path the exactness tests compare against), and once
@@ -35,37 +34,9 @@ after the same events.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from time import monotonic
 from typing import Any, Callable
 
-from ..errors import SimulationError, SoftTimeoutError
-
-# ---------------------------------------------------------------------------
-# Soft wall-clock deadline (SIGALRM fallback)
-# ---------------------------------------------------------------------------
-# ``signal.SIGALRM``/``setitimer`` do not exist on every platform and never
-# fire in non-main threads, so an in-worker alarm can silently vanish and a
-# spec runs unbounded.  As a portable backstop the run loop polls this
-# module-level deadline every ``DEADLINE_POLL_MASK + 1`` events and raises
-# :class:`SoftTimeoutError` once it passes.  The poll only covers simulated
-# work (an engine must be running events); host-level sleeps still need a
-# real alarm.  Process-global by design: one spec runs per worker process.
-
-_SOFT_DEADLINE: float | None = None
-DEADLINE_POLL_MASK = 1023  # poll every 1024 events; keeps the hot loop cheap
-
-
-def set_soft_deadline(timeout_s: float) -> None:
-    """Arm a wall-clock deadline ``timeout_s`` seconds from now."""
-    global _SOFT_DEADLINE
-    _SOFT_DEADLINE = monotonic() + timeout_s
-
-
-def clear_soft_deadline() -> None:
-    """Disarm the soft deadline (idempotent)."""
-    global _SOFT_DEADLINE
-    _SOFT_DEADLINE = None
-
+from ..errors import SimulationError
 
 # The run-ahead bound of a run() with no ``until``: later than any event.
 _FOREVER = 1 << 62
@@ -172,14 +143,6 @@ class Engine:
             heappop(heap)
         return None
 
-    def poll_deadline(self) -> None:
-        """Raise :class:`SoftTimeoutError` once the soft deadline passed."""
-        if _SOFT_DEADLINE is not None and monotonic() > _SOFT_DEADLINE:
-            raise SoftTimeoutError(
-                f"soft deadline expired at t={self.now} "
-                f"after {self.events_run} events"
-            )
-
     def stop(self) -> None:
         """Make the running :meth:`run` return once the current event's
         callback has finished; run-ahead is off from here on."""
@@ -227,9 +190,6 @@ class Engine:
                         f"exceeded max_events={max_events} at t={self.now}; "
                         "likely a livelock in the simulated system"
                     )
-                if (not count & DEADLINE_POLL_MASK
-                        and _SOFT_DEADLINE is not None):
-                    self.poll_deadline()
                 # Inlined step(): pop the next live entry.
                 while heap:
                     entry = heappop(heap)

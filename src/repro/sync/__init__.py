@@ -5,8 +5,8 @@
 * `spin` — ten spinlock algorithms (Figure 13) — targets of BWD.  The
   kernel sees four disciplines and a PAUSE flag, so the ten names map
   onto four lock classes (`ALL_SPINLOCKS`).
-* `spin_then_park` — Mutexee and MCS-TP hybrids (Figure 15 baselines).
-* `shfllock` — SHFLLOCK with queue shuffling and NUMA-aware wakeup.
+* `spin_then_park` — the Mutexee, MCS-TP and SHFLLOCK hybrids (Figure 15
+  baselines); SHFLLOCK adds queue shuffling and NUMA-aware wakeup.
 """
 
 from .blocking import Mutex, CondVar, Barrier, Semaphore
@@ -17,8 +17,7 @@ from .spin import (
     ALL_SPINLOCKS,
     make_spinlock,
 )
-from .spin_then_park import Mutexee, McsTp
-from .shfllock import ShflLock
+from .spin_then_park import Mutexee, McsTp, ShflLock
 
 __all__ = [
     "Mutex",

@@ -1,12 +1,14 @@
-"""Spin-then-park hybrid locks: Mutexee [14] and MCS-TP [17].
+"""Spin-then-park hybrid locks: Mutexee [14], MCS-TP [17] and SHFLLOCK.
 
-Figure 15's baselines.  Both spin briefly hoping for a fast handoff and
-then park through futex.  The paper's point: because the *park* still takes
+Figure 15's baselines.  Each spins briefly hoping for a fast handoff and
+then parks through futex.  The paper's point: because the *park* still takes
 the vanilla futex sleep/wakeup path, these locks inherit its
 oversubscription collapse — the spin phase only adds burned CPU on top.
 
 Modeled as blocking primitives whose contended acquire charges the spin
-window as on-CPU time before the futex wait.
+window as on-CPU time before the futex wait, and whose release hands the
+lock to the futex queue's FIFO head.  Mutexee and MCS-TP differ only in
+their spin window; SHFLLOCK also shuffles the queue before the handoff.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ from ..errors import ProgramError
 from ..kernel.task import RUNNING
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..hw.topology import Topology
     from ..kernel.kernel import Kernel
     from ..kernel.task import Task
 
 
 class _SpinThenParkBase:
-    """Common structure; subclasses set the spin window and fairness."""
+    """Common structure; subclasses set the spin window, and may reorder
+    the queue before a handoff (:meth:`_shuffle`)."""
 
     algorithm = "stp"
     spin_window_ns = 2_000
@@ -51,6 +55,12 @@ class _SpinThenParkBase:
         # then park through futex.
         return fast + sys.futex_wait_spin(task, self, window)
 
+    def _shuffle(self, sys: "Kernel", task: "Task",
+                 head: "Task") -> "tuple[Task, int]":
+        """The waiter ``task`` hands the lock to, given the queue's FIFO
+        ``head``, and the extra release cost of choosing it."""
+        return head, 0
+
     def release(self, sys: "Kernel", task: "Task") -> int:
         if self.owner is not task:
             raise ProgramError(
@@ -59,17 +69,19 @@ class _SpinThenParkBase:
             )
         fast = sys.config.user.fast_ns
         nxt = sys.futex_peek(self)
-        if nxt is not None:
-            self.owner = nxt
-            self.acquisitions += 1
-            return fast + sys.futex_wake(task, self, 1)
-        self.owner = None
-        return fast
+        if nxt is None:
+            self.owner = None
+            return fast
+        nxt, cost = self._shuffle(sys, task, nxt)
+        self.owner = nxt
+        self.acquisitions += 1
+        return fast + cost + sys.futex_wake(task, self, 1)
 
 
 class Mutexee(_SpinThenParkBase):
-    """Mutexee [Falsafi et al., ATC '16]: short opportunistic spin, unfair
-    wake (whoever the futex pops), tuned for energy."""
+    """Mutexee [Falsafi et al., ATC '16]: a short opportunistic spin
+    (1.5 us), tuned for energy.  The model hands off to the futex queue's
+    FIFO head, so only the spin window sets it apart from MCS-TP."""
 
     algorithm = "mutexee"
     spin_window_ns = 1_500
@@ -77,8 +89,63 @@ class Mutexee(_SpinThenParkBase):
 
 class McsTp(_SpinThenParkBase):
     """MCS time-published lock [He/Scherer/Scott, HiPC '05]: queue-based
-    with preemption-adaptive timeouts — a longer published spin window
-    before parking, strict FIFO handoff."""
+    with preemption-adaptive timeouts, modeled as a longer published spin
+    window (4 us) before parking.  The handoff goes to the futex queue's
+    FIFO head, as for Mutexee."""
 
     algorithm = "mcstp"
     spin_window_ns = 4_000
+
+
+class ShflLock(_SpinThenParkBase):
+    """SHFLLOCK [Kashyap et al., SOSP '19] — Section 4.4's comparison target.
+
+    SHFLLOCK keeps active and passive waiters in one queue and runs a
+    *shuffler* that reorders waiters to group same-socket threads, enabling
+    NUMA-aware handoff with a small memory footprint; waiters beyond a short
+    spin window park through futex.
+
+    The behaviors the paper's comparison exercises (Figure 15):
+
+    * parking still uses the vanilla futex path -> inherits the
+      oversubscribed sleep/wakeup collapse;
+    * no bulk-wakeup optimization — waiters are woken one at a time through
+      the full wake path;
+    * NUMA-aware shuffling always prefers same-socket waiters, which under
+      oversubscription concentrates wakeups on one socket and amplifies load
+      fluctuation (extra migrations), occasionally making it *worse* than
+      plain spin-then-park.
+
+    Modeled with a 1 us spin window and a release that shuffles the futex
+    queue toward the releaser's socket before the handoff, paying the
+    shuffler's queue walk.  Without a ``topology`` every task is on one
+    node, so nothing is ever shuffled.
+    """
+
+    algorithm = "shfllock"
+    spin_window_ns = 1_000
+    shuffle_cost_ns = 300  # queue walk per release
+
+    def __init__(self, name: str = "",
+                 topology: "Topology | None" = None):
+        super().__init__(name)
+        self.topology = topology
+        self.shuffles = 0
+
+    def _node_of(self, task: "Task") -> int:
+        if self.topology is None or task.last_cpu is None:
+            return 0
+        return self.topology.node_of(task.last_cpu)
+
+    def _shuffle(self, sys: "Kernel", task: "Task",
+                 head: "Task") -> "tuple[Task, int]":
+        # Shuffling pass: promote the first same-socket waiter to the front.
+        my_node = self._node_of(task)
+        if self._node_of(head) == my_node:
+            return head, 0
+        for waiter in list(sys.futex_table.bucket(self).waiters):
+            if self._node_of(waiter) == my_node:
+                sys.futex_requeue_front(self, waiter)
+                self.shuffles += 1
+                return waiter, self.shuffle_cost_ns
+        return head, self.shuffle_cost_ns

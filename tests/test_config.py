@@ -6,7 +6,6 @@ import pytest
 
 from repro.config import (
     BwdConfig,
-    ExecMode,
     FutexConfig,
     HardwareConfig,
     PleConfig,
@@ -72,9 +71,14 @@ def test_select_core_cost_scales_with_cpus():
 def test_sim_config_validation():
     with pytest.raises(ConfigError):
         SimConfig(online_cpus=0)
-    with pytest.raises(ConfigError):
-        # PLE outside a VM is rejected.
-        SimConfig(ple=PleConfig(enabled=True), mode=ExecMode.CONTAINER)
+
+
+def test_enabling_ple_arms_it():
+    """Enabling PLE is what makes a config a VM guest."""
+    from repro.kernel import Kernel
+
+    assert Kernel(SimConfig(ple=PleConfig(enabled=True))).ple is not None
+    assert Kernel(SimConfig()).ple is None
 
 
 def test_vanilla_config_disables_mechanisms():
@@ -100,7 +104,6 @@ def test_optimized_config_enables_both():
 
 def test_ple_config_is_vm():
     cfg = ple_config(cores=8)
-    assert cfg.mode is ExecMode.VM
     assert cfg.ple.enabled
     assert not cfg.vb.enabled and not cfg.bwd.enabled
 

@@ -84,8 +84,7 @@ def member_lookups(source: str,
 
 def test_enum_collection_sees_the_per_event_enums():
     enums = enum_classes()
-    for name in ("TaskState", "RunMode", "WindowKind", "AccessPattern",
-                 "ExecMode"):
+    for name in ("TaskState", "RunMode", "WindowKind", "AccessPattern"):
         assert name in enums, sorted(enums)
     assert "RUNNING" in enums["TaskState"]
 

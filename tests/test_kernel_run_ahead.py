@@ -190,20 +190,3 @@ def test_run_for_runs_to_its_bound_past_the_last_exit():
     k.run_for(5 * MS)
     assert k.live_tasks == 0 and t.exited_at < 1 * MS
     assert k.now == 5 * MS
-
-
-def test_inline_milestones_poll_the_soft_deadline():
-    polls = []
-
-    class PollingEngine(Engine):
-        __slots__ = ()
-
-        def poll_deadline(self):
-            polls.append(self.events_run)
-            super().poll_deadline()
-
-    k = Kernel(vanilla_config(cores=1, seed=3), engine=PollingEngine())
-    k.spawn((Compute(10) for _ in range(3_000)), name="t")
-    k.run_to_completion()
-    # One callback ran the milestones in place, and polled every 1024.
-    assert polls == [1024, 2048]

@@ -175,7 +175,6 @@ def test_spin_then_park_charges_spin_window(vanilla1):
 
 
 def test_shfllock_shuffles_same_socket_waiter_first():
-    hw = HardwareConfig(sockets=2, cores_per_socket=4, smt=1)
     cfg = vanilla_config(cores=8, seed=2)
     k = Kernel(cfg)
     lock = ShflLock("l", topology=k.topology)
@@ -187,7 +186,7 @@ def test_shfllock_shuffles_same_socket_waiter_first():
 
     order = []
 
-    def waiter(i, pin):
+    def waiter(i):
         yield Compute((i + 1) * 50_000)
         yield MutexAcquire(lock)
         order.append(i)
@@ -196,8 +195,8 @@ def test_shfllock_shuffles_same_socket_waiter_first():
     # Holder on cpu0 (node 0); first waiter remote (cpu1, node 1), second
     # local (cpu2, node 0): the shuffler promotes the local one.
     k.spawn(holder(), name="h", pinned_cpu=0)
-    k.spawn(waiter(0, 1), name="remote", pinned_cpu=1)
-    k.spawn(waiter(1, 2), name="local", pinned_cpu=2)
+    k.spawn(waiter(0), name="remote", pinned_cpu=1)
+    k.spawn(waiter(1), name="local", pinned_cpu=2)
     k.run_to_completion()
     assert order[0] == 1
     assert lock.shuffles >= 1
