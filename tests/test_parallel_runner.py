@@ -601,6 +601,20 @@ def test_inline_timeout_stops_a_never_draining_engine():
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
+def test_inline_timeout_disarmed_after_a_finished_spec():
+    """A timed spec that finishes must not leave its alarm armed for the
+    next one, nor its handler in place of the caller's."""
+    import signal
+
+    before = signal.getsignal(signal.SIGALRM)
+    spec = ExperimentSpec(id="quick", runner="debug_sleep",
+                          params={"seconds": 0.0}, seed=0)
+    r = ParallelRunner(jobs=1, use_cache=False, timeout_s=5.0, retries=0)
+    assert r.run([spec]) == [{"slept": 0.0}]
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is before
+
+
 # ---------------------------------------------------------------------
 # full-report decomposition and flag resolution
 # ---------------------------------------------------------------------
